@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flit_fpsim::env::{FpEnv, SimdWidth};
 use flit_fpsim::{linalg::DenseMatrix, reduce, solve};
 use flit_program::build::Build;
+use flit_toolchain::cache::BuildCtx;
 use flit_toolchain::compilation::Compilation;
 use flit_toolchain::compiler::{CompilerKind, OptLevel};
 use flit_toolchain::linker::link;
@@ -52,7 +53,7 @@ fn bench_cg(c: &mut Criterion) {
 fn bench_linker(c: &mut Criterion) {
     let program = flit_mfem::mfem_program();
     let build = Build::new(&program, Compilation::perf_reference());
-    let objects = build.all_objects();
+    let objects = build.all_objects_in(&BuildCtx::uncached());
     c.bench_function("linker_mfem_97_objects", |b| {
         b.iter(|| link(objects.clone(), CompilerKind::Gcc).unwrap());
     });

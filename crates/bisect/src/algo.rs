@@ -57,6 +57,25 @@ pub enum AssumptionViolation<I> {
     },
 }
 
+impl<I> AssumptionViolation<I> {
+    /// The one-line diagnostic a search reports for this violation,
+    /// naming elements through `name`.
+    pub fn describe(&self, name: impl Fn(&I) -> String) -> String {
+        match self {
+            AssumptionViolation::SingletonBlame { element } => format!(
+                "singleton-blame assumption violated at `{}` (possible false negatives)",
+                name(element)
+            ),
+            AssumptionViolation::UniqueError {
+                items_value,
+                found_value,
+            } => format!(
+                "unique-error assumption violated: Test(items)={items_value} != Test(found)={found_value}"
+            ),
+        }
+    }
+}
+
 /// Outcome of a `BisectAll` search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BisectOutcome<I> {

@@ -10,9 +10,15 @@
 //! two complementarily-weakened copies per Figure 3 (right). If `-fPIC`
 //! removes the variability, "the search cannot go deeper; we must be
 //! content with reporting the file containing the variability."
+//!
+//! There is one search, [`bisect_hierarchical_parallel`]; its width is
+//! the width of the execution backend it is handed, and every result is
+//! byte-identical at any width. [`bisect_hierarchical`] is that search on
+//! one inline worker, which replays the serial algorithm's exact call
+//! sequence and records no scheduling telemetry.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use flit_program::build::Build;
@@ -22,14 +28,15 @@ use flit_toolchain::compiler::CompilerKind;
 use flit_trace::names::{counter as counter_names, phase};
 use flit_trace::sink::TraceSink;
 
-use flit_exec::{run_on, ExecBackend, ExecError};
+use flit_exec::{run_on, ExecBackend, ExecError, ThreadsBackend};
 
-use crate::algo::{bisect_all, AssumptionViolation, BisectOutcome};
-use crate::biggest::bisect_biggest;
+use crate::algo::BisectOutcome;
 use crate::ledger::{LedgerHandle, SearchKeys};
-use crate::parallel::{drive_plans_seeded, emit_query_spans, SharedOracle, SpeculationScore};
-use crate::planner::{BisectPlan, PlanFailure, PlanOutcome, SearchMode};
-use crate::test_fn::{TestError, TestFn};
+use crate::parallel::{
+    drive_plans_seeded, emit_query_spans, ParallelTestFn, SharedOracle, SpeculationScore,
+};
+use crate::planner::{canonical, BisectPlan, PlanFailure, PlanOutcome, SearchMode};
+use crate::test_fn::TestError;
 use crate::wire::{ExeRecipe, LocalPlane, QueryPlane, RemotePlane};
 
 /// A static prescreen of the hierarchical search space (produced by
@@ -392,7 +399,9 @@ impl HierarchicalResult {
     }
 }
 
-/// Run the full hierarchical search.
+/// Run the full hierarchical search on one inline worker: the
+/// [`bisect_hierarchical_parallel`] search at width 1, which walks the
+/// serial algorithm's exact call sequence.
 ///
 /// * `baseline` / `variable` — the two builds (identical program
 ///   structure; different compilations and/or different bodies, as in
@@ -400,8 +409,7 @@ impl HierarchicalResult {
 /// * `driver` — the test driver (entry points and input scheme).
 /// * `input` — the FLiT test input vector.
 /// * `compare` — the user's comparison metric
-///   (`||baseline − actual||₂` in the MFEM study). `Sync` so the same
-///   metric can drive [`bisect_hierarchical_parallel`].
+///   (`||baseline − actual||₂` in the MFEM study).
 pub fn bisect_hierarchical(
     baseline: &Build,
     variable: &Build,
@@ -410,485 +418,221 @@ pub fn bisect_hierarchical(
     compare: &(dyn Fn(&[f64], &[f64]) -> f64 + Sync),
     cfg: &HierarchicalConfig,
 ) -> HierarchicalResult {
-    let mut executions = 0usize;
-    let mut violations: Vec<String> = Vec::new();
+    bisect_hierarchical_parallel(
+        baseline,
+        variable,
+        driver,
+        input,
+        compare,
+        cfg,
+        &ThreadsBackend::new(1),
+    )
+}
 
-    // One search = one file-level span plus one symbol-level span per
-    // searched file, labelled by the (driver, variable compilation)
-    // pair that identifies the search.
-    let search = format!("{}/{}", driver.name, variable.compilation.label());
-    let variable_label = variable.compilation.label();
-    let keys = cfg
-        .ledger
-        .as_ref()
-        .map(|_| search_keys(baseline, variable, driver, input, cfg));
-    let reference_runs = cfg.trace.counter(counter_names::BISECT_REFERENCE_RUNS);
-    let probe_runs = cfg.trace.counter(counter_names::BISECT_PROBE_RUNS);
-    let plane = cfg.plane(baseline, variable, driver, input);
+/// One level of the hierarchy: names its counters, spans and messages.
+#[derive(Clone, Copy)]
+enum Level {
+    File,
+    Symbol,
+}
 
-    // Reference run under the trusted baseline build. Through a ledger
-    // the answer (the full output vector) may be served by another
-    // search or a journal replay; the accounting below is identical
-    // either way.
-    let reference = {
-        let compute = || plane.run_recipe(&ExeRecipe::Baseline);
-        match (&cfg.ledger, &keys) {
-            (Some(ledger), Some(keys)) => ledger.eval_output(&keys.reference(), compute),
-            _ => compute(),
-        }
-    };
-    let base_out = match reference {
-        Ok((out, _)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            out
-        }
-        Err(TestError::Link(e)) => {
-            return HierarchicalResult {
-                outcome: SearchOutcome::Crashed(format!("baseline link failed: {e}")),
-                files: vec![],
-                symbols: vec![],
-                file_level_only: vec![],
-                executions,
-                violations,
-            }
-        }
-        Err(TestError::Crash(e)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            return HierarchicalResult {
-                outcome: SearchOutcome::Crashed(format!("baseline run failed: {e}")),
-                files: vec![],
-                symbols: vec![],
-                file_level_only: vec![],
-                executions,
-                violations,
-            };
-        }
-    };
-
-    // ---- File Bisect ----
-    let prune = cfg.prescreen.as_ref().filter(|p| p.prune);
-    let all_file_ids: Vec<usize> = (0..baseline.program.files.len()).collect();
-    let file_ids: Vec<usize> = match prune {
-        Some(p) => {
-            let kept: Vec<usize> = all_file_ids
-                .iter()
-                .copied()
-                .filter(|id| p.keep_file(*id))
-                .collect();
-            let pruned_counter = if p.certificates.is_some() {
-                counter_names::ABSINT_PRUNED_FILES
-            } else {
-                counter_names::LINT_PRUNED_FILES
-            };
-            cfg.trace
-                .counter(pruned_counter)
-                .incr((all_file_ids.len() - kept.len()) as u64);
-            kept
-        }
-        None => all_file_ids.clone(),
-    };
-    let mut file_execs = 0usize;
-    let file_secs = Cell::new(0.0f64);
-    let file_raw = |items: &[usize]| -> Result<(f64, f64), TestError> {
-        let recipe = ExeRecipe::FileMixed {
-            items: items.to_vec(),
-        };
-        let (out, seconds) = plane.run_recipe(&recipe)?;
-        Ok((compare(&base_out, &out), seconds))
-    };
-    let file_test = |items: &[usize]| -> Result<f64, TestError> {
-        let (value, seconds) = match (&cfg.ledger, &keys) {
-            (Some(ledger), Some(keys)) => {
-                ledger.eval_score(&keys.file_query(&variable_label, items), || file_raw(items))
-            }
-            _ => file_raw(items),
-        }?;
-        file_secs.set(file_secs.get() + seconds);
-        Ok(value)
-    };
-    let counted_file_test = CountingTest {
-        inner: &file_test,
-        count: &mut file_execs,
-    };
-
-    let mut file_outcome = match cfg.k {
-        None => bisect_all(counted_file_test, &file_ids),
-        Some(k) => bisect_biggest(counted_file_test, &file_ids, k),
-    };
-    // Algorithm-1-style dynamic verification guarding the prune: the
-    // found set must reproduce the *unpruned* space's Test value, or
-    // the static prescreen hid a real culprit. In certified mode the
-    // certificate replaces one leg of the probe: `Test(found)` is mined
-    // from the search's own Assumption-1 verification query, so only
-    // the residual `Test(all)` audit executes.
-    let mut guard_violations: Vec<String> = Vec::new();
-    if let Some(p) = prune.filter(|_| file_ids.len() < all_file_ids.len()) {
-        if let Ok(r) = &file_outcome {
-            let certified = p.certificates.is_some();
-            let mut found_ids: Vec<usize> = r.found.iter().map(|(i, _)| *i).collect();
-            found_ids.sort_unstable();
-            let (full, found_v) = if certified {
-                cfg.trace
-                    .counter(counter_names::ABSINT_PRUNE_AUDITS)
-                    .incr(1);
-                file_execs += 1;
-                let full = file_test(&all_file_ids);
-                let found_v = match found_verification_value(r) {
-                    Some(v) => Ok(v),
-                    None => {
-                        // BisectBiggest skips the Assumption-1
-                        // verification query; fall back to an explicit
-                        // one.
-                        file_execs += 1;
-                        file_test(&found_ids)
-                    }
-                };
-                (full, found_v)
-            } else {
-                file_execs += 2;
-                cfg.trace
-                    .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
-                    .incr(2);
-                (file_test(&all_file_ids), file_test(&found_ids))
-            };
-            match (full, found_v) {
-                (Ok(full), Ok(found_v)) => {
-                    if full != found_v {
-                        guard_violations.push(if certified {
-                            certified_audit_violation("file", full, found_v)
-                        } else {
-                            prune_guard_violation("file", full, found_v)
-                        });
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => file_outcome = Err(e),
-            }
-        }
-    }
-    executions += file_execs;
-    cfg.trace
-        .counter(counter_names::BISECT_FILE_RUNS)
-        .incr(file_execs as u64);
-    cfg.trace.span(
-        phase::BISECT_FILE,
-        search.clone(),
-        file_execs as u64,
-        file_secs.get(),
-    );
-
-    let file_result = match file_outcome {
-        Ok(r) => r,
-        Err(TestError::Crash(s)) => {
-            return HierarchicalResult {
-                outcome: SearchOutcome::Crashed(s),
-                files: vec![],
-                symbols: vec![],
-                file_level_only: vec![],
-                executions,
-                violations,
-            }
-        }
-        Err(TestError::Link(s)) => {
-            return HierarchicalResult {
-                outcome: SearchOutcome::Crashed(format!("link: {s}")),
-                files: vec![],
-                symbols: vec![],
-                file_level_only: vec![],
-                executions,
-                violations,
-            }
-        }
-    };
-    for v in &file_result.violations {
-        violations.push(violation_string(v, |id| {
-            baseline.program.files[*id].name.clone()
-        }));
-    }
-    violations.append(&mut guard_violations);
-
-    let files: Vec<FileFinding> = file_result
-        .found
-        .iter()
-        .map(|(id, value)| FileFinding {
-            file_id: *id,
-            file_name: baseline.program.files[*id].name.clone(),
-            value: *value,
-        })
-        .collect();
-    check_certified_bounds(cfg, &files, &mut violations);
-
-    if files.is_empty() {
-        let outcome = if violations.is_empty() {
-            // Nothing found and nothing flagged: the mixed link cannot
-            // reproduce the variability — link-step blame.
-            SearchOutcome::LinkStepOnly
-        } else {
-            SearchOutcome::AssumptionViolated
-        };
-        return HierarchicalResult {
-            outcome,
-            files,
-            symbols: vec![],
-            file_level_only: vec![],
-            executions,
-            violations,
-        };
-    }
-
-    // ---- Symbol Bisect per found file ----
-    let mut symbols: Vec<SymbolFinding> = Vec::new();
-    let mut file_level_only: Vec<usize> = Vec::new();
-
-    for finding in &files {
-        let fid = finding.file_id;
-        // -fPIC probe: does the variability survive the recompile?
-        let probe_answer = {
-            let compute = || -> Result<(f64, f64), TestError> {
-                let (out, seconds) = plane.run_recipe(&ExeRecipe::PicProbe { file: fid })?;
-                Ok((compare(&base_out, &out), seconds))
-            };
-            match (&cfg.ledger, &keys) {
-                (Some(ledger), Some(keys)) => {
-                    ledger.eval_score(&keys.probe(&variable_label, fid), compute)
-                }
-                _ => compute(),
-            }
-        };
-        let probe_value = match probe_answer {
-            Ok((v, _)) => {
-                executions += 1;
-                probe_runs.incr(1);
-                v
-            }
-            // A failed probe *link* is not an execution (the serial
-            // walk returns before counting).
-            Err(TestError::Link(e)) => {
-                return HierarchicalResult {
-                    outcome: SearchOutcome::Crashed(format!("pic probe link: {e}")),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                }
-            }
-            Err(TestError::Crash(s)) => {
-                executions += 1;
-                probe_runs.incr(1);
-                return HierarchicalResult {
-                    outcome: SearchOutcome::Crashed(s),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                };
-            }
-        };
-        if probe_value == 0.0 {
-            file_level_only.push(fid);
-            continue;
-        }
-
-        let all_syms = baseline.program.exported_symbols_of_file(fid);
-        if all_syms.is_empty() {
-            file_level_only.push(fid);
-            continue;
-        }
-        let syms: Vec<String> = match prune {
-            Some(p) => {
-                let kept: Vec<String> = all_syms
-                    .iter()
-                    .filter(|s| p.keep_symbol(s))
-                    .cloned()
-                    .collect();
-                let pruned_counter = if p.certificates.is_some() {
-                    counter_names::ABSINT_PRUNED_SYMBOLS
-                } else {
-                    counter_names::LINT_PRUNED_SYMBOLS
-                };
-                cfg.trace
-                    .counter(pruned_counter)
-                    .incr((all_syms.len() - kept.len()) as u64);
-                kept
-            }
-            None => all_syms.clone(),
-        };
-        let mut sym_execs = 0usize;
-        let sym_secs = Cell::new(0.0f64);
-        let sym_raw = |items: &[String]| -> Result<(f64, f64), TestError> {
-            let recipe = ExeRecipe::SymbolMixed {
-                file: fid,
-                items: items.to_vec(),
-            };
-            let (out, seconds) = plane.run_recipe(&recipe)?;
-            Ok((compare(&base_out, &out), seconds))
-        };
-        let sym_test = |items: &[String]| -> Result<f64, TestError> {
-            let (value, seconds) = match (&cfg.ledger, &keys) {
-                (Some(ledger), Some(keys)) => ledger
-                    .eval_score(&keys.symbol_query(&variable_label, fid, items), || {
-                        sym_raw(items)
-                    }),
-                _ => sym_raw(items),
-            }?;
-            sym_secs.set(sym_secs.get() + seconds);
-            Ok(value)
-        };
-        let counted_sym_test = CountingTest {
-            inner: &sym_test,
-            count: &mut sym_execs,
-        };
-        let mut sym_outcome = match cfg.k {
-            None => bisect_all(counted_sym_test, &syms),
-            Some(k) => bisect_biggest(counted_sym_test, &syms, k),
-        };
-        // Dynamic verification guarding a symbol-level prune (see the
-        // file-level guard above).
-        let mut guard_violations: Vec<String> = Vec::new();
-        if let Some(p) = prune.filter(|_| syms.len() < all_syms.len()) {
-            if let Ok(r) = &sym_outcome {
-                let certified = p.certificates.is_some();
-                let mut full = all_syms.clone();
-                full.sort();
-                let mut found_syms: Vec<String> = r.found.iter().map(|(s, _)| s.clone()).collect();
-                found_syms.sort();
-                let (a, b) = if certified {
-                    cfg.trace
-                        .counter(counter_names::ABSINT_PRUNE_AUDITS)
-                        .incr(1);
-                    sym_execs += 1;
-                    let a = sym_test(&full);
-                    let b = match found_verification_value(r) {
-                        Some(v) => Ok(v),
-                        None => {
-                            sym_execs += 1;
-                            sym_test(&found_syms)
-                        }
-                    };
-                    (a, b)
-                } else {
-                    sym_execs += 2;
-                    cfg.trace
-                        .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
-                        .incr(2);
-                    (sym_test(&full), sym_test(&found_syms))
-                };
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        if a != b {
-                            guard_violations.push(if certified {
-                                certified_audit_violation("symbol", a, b)
-                            } else {
-                                prune_guard_violation("symbol", a, b)
-                            });
-                        }
-                    }
-                    (Err(e), _) | (_, Err(e)) => sym_outcome = Err(e),
-                }
-            }
-        }
-        executions += sym_execs;
-        cfg.trace
-            .counter(counter_names::BISECT_SYMBOL_RUNS)
-            .incr(sym_execs as u64);
-        cfg.trace.span(
-            phase::BISECT_SYMBOL,
-            format!("{search}/{}", baseline.program.files[fid].name),
-            sym_execs as u64,
-            sym_secs.get(),
-        );
-        match sym_outcome {
-            Ok(r) => {
-                for v in &r.violations {
-                    violations.push(violation_string(v, Clone::clone));
-                }
-                violations.append(&mut guard_violations);
-                if r.found.is_empty() {
-                    // Exported-symbol interposition cannot reproduce it
-                    // (e.g. variability lives in statics/inlined code).
-                    file_level_only.push(fid);
-                }
-                for (symbol, value) in r.found {
-                    symbols.push(SymbolFinding {
-                        symbol,
-                        file_id: fid,
-                        value,
-                    });
-                }
-            }
-            Err(TestError::Crash(s)) => {
-                return HierarchicalResult {
-                    outcome: SearchOutcome::Crashed(s),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                }
-            }
-            Err(TestError::Link(s)) => {
-                return HierarchicalResult {
-                    outcome: SearchOutcome::Crashed(format!("link: {s}")),
-                    files,
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                }
-            }
+impl Level {
+    fn name(self) -> &'static str {
+        match self {
+            Level::File => "file",
+            Level::Symbol => "symbol",
         }
     }
 
-    let outcome = if violations.is_empty() {
-        SearchOutcome::Completed
+    fn phase(self) -> &'static str {
+        match self {
+            Level::File => phase::BISECT_FILE,
+            Level::Symbol => phase::BISECT_SYMBOL,
+        }
+    }
+
+    fn runs_counter(self) -> &'static str {
+        match self {
+            Level::File => counter_names::BISECT_FILE_RUNS,
+            Level::Symbol => counter_names::BISECT_SYMBOL_RUNS,
+        }
+    }
+
+    /// Book `dropped` items a pruning prescreen removed at this level,
+    /// under the `absint.pruned.*` or `lint.pruned.*` counter.
+    fn count_pruned(self, trace: &TraceSink, prune: &Prescreen, dropped: usize) {
+        let name = match (self, prune.certificates.is_some()) {
+            (Level::File, true) => counter_names::ABSINT_PRUNED_FILES,
+            (Level::File, false) => counter_names::LINT_PRUNED_FILES,
+            (Level::Symbol, true) => counter_names::ABSINT_PRUNED_SYMBOLS,
+            (Level::Symbol, false) => counter_names::LINT_PRUNED_SYMBOLS,
+        };
+        trace.counter(name).incr(dropped as u64);
+    }
+}
+
+/// A plan over one level's items. One worker has nothing to speculate
+/// with, so its frontier is only the query the replay needs next.
+fn level_plan<I: Clone + Ord + Hash>(items: &[I], mode: SearchMode, serial: bool) -> BisectPlan<I> {
+    let plan = BisectPlan::new(items, mode);
+    if serial {
+        plan.with_speculation(0)
     } else {
-        SearchOutcome::AssumptionViolated
-    };
-    HierarchicalResult {
-        outcome,
-        files,
-        symbols,
-        file_level_only,
-        executions,
-        violations,
+        plan
     }
 }
 
-/// What one `-fPIC` probe produced, evaluated off-thread and folded in
-/// file order so the serial path's early-return and counting semantics
-/// are reproduced exactly.
-enum ProbeOutcome {
-    /// The probe link failed (serial: not counted as an execution).
-    LinkFail(String),
-    /// The probe run failed (serial: counted, then the search crashes).
-    RunFail(String),
-    /// The probe's comparison value.
-    Value(f64),
+/// What guards a pruned level: the prescreen, the level's oracle and
+/// its unpruned item set.
+type Guard<'a, 'f, I> = (&'a Prescreen, &'a SharedOracle<'f, I>, &'a [I]);
+
+/// The dynamic verification guarding a pruned level: the found set
+/// must reproduce the *unpruned* space's Test value, or the prescreen
+/// hid a real culprit. Lint mode spends two executions, `Test(all)` and
+/// `Test(found)`. In certified mode the certificate replaces one leg:
+/// `Test(found)` is mined from the search's own Assumption-1
+/// verification query, so only the residual `Test(all)` audit executes.
+/// Executions and seconds are booked into `execs` / `secs` whether or
+/// not the oracle serves them from its memo.
+fn prune_guard<I>(
+    (pre, oracle, all): Guard<'_, '_, I>,
+    level: Level,
+    outcome: &BisectOutcome<I>,
+    trace: &TraceSink,
+    execs: &mut usize,
+    secs: &mut f64,
+) -> Result<Option<String>, TestError>
+where
+    I: Clone + Ord + Hash + Send + Sync,
+{
+    let mut eval = |items: &[I]| {
+        *execs += 1;
+        let answer = oracle.eval(items);
+        if let Ok((_, s)) = &answer {
+            *secs += *s;
+        }
+        answer.map(|(v, _)| v)
+    };
+    let found: Vec<I> = outcome.found.iter().map(|(i, _)| i.clone()).collect();
+    let certified = pre.certificates.is_some();
+    let (full, found) = if certified {
+        trace.counter(counter_names::ABSINT_PRUNE_AUDITS).incr(1);
+        let full = eval(&canonical(all));
+        // BisectBiggest skips the Assumption-1 verification query; fall
+        // back to an explicit one.
+        let found = match found_verification_value(outcome) {
+            Some(v) => Ok(v),
+            None => eval(&canonical(&found)),
+        };
+        (full, found)
+    } else {
+        trace
+            .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
+            .incr(2);
+        (eval(&canonical(all)), eval(&canonical(&found)))
+    };
+    let (full, found) = (full?, found?);
+    let level = level.name();
+    Ok((full != found).then(|| {
+        if certified {
+            certified_audit_violation(level, full, found)
+        } else {
+            prune_guard_violation(level, full, found)
+        }
+    }))
 }
 
-/// [`bisect_hierarchical`] with every independent Test query fanned out
-/// on a shared execution backend.
+/// Close one search level: run its prune guard (when `guard` is set),
+/// book the level's executions — those the serial algorithm performs,
+/// on failure too, never the speculation — into `executions`, its runs
+/// counter and its span, and return the outcome plus any guard
+/// violation, or the reason the search crashes.
+fn settle_level<I>(
+    result: Result<PlanOutcome<I>, PlanFailure>,
+    guard: Option<Guard<'_, '_, I>>,
+    level: Level,
+    label: String,
+    trace: &TraceSink,
+    executions: &mut usize,
+) -> Result<(PlanOutcome<I>, Option<String>), String>
+where
+    I: Clone + Ord + Hash + Send + Sync,
+{
+    let (mut execs, mut secs) = match &result {
+        Ok(p) => (p.outcome.executions, p.seconds),
+        Err(f) => (f.executions, f.seconds),
+    };
+    let guarded = match (&result, guard) {
+        (Ok(p), Some(guard)) => prune_guard(guard, level, &p.outcome, trace, &mut execs, &mut secs),
+        _ => Ok(None),
+    };
+    *executions += execs;
+    trace.counter(level.runs_counter()).incr(execs as u64);
+    trace.span(level.phase(), label, execs as u64, secs);
+    match (result, guarded) {
+        (Ok(p), Ok(violation)) => Ok((p, violation)),
+        (Err(f), _) => Err(f.error.abort_reason()),
+        (_, Err(e)) => Err(e.abort_reason()),
+    }
+}
+
+/// A Test oracle routed through the search's ledger when it has one.
+fn routed_oracle<'a, I>(
+    raw: impl ParallelTestFn<I> + 'a,
+    trace: &TraceSink,
+    routed: Option<&(LedgerHandle, SearchKeys)>,
+    key: impl Fn(&SearchKeys, &[I]) -> String + Sync + 'a,
+) -> SharedOracle<'a, I>
+where
+    I: Clone + Ord + Hash + Send + Sync,
+{
+    match routed {
+        Some((ledger, keys)) => {
+            let keys = keys.clone();
+            SharedOracle::with_ledger(raw, trace, ledger.clone(), move |items| key(&keys, items))
+        }
+        None => SharedOracle::new(raw, trace),
+    }
+}
+
+/// The reason a failed fan-out ends the search. A panicking Test is a
+/// bug, not a crashed mixed executable, so it is re-raised on the
+/// caller's thread with its message — at every width.
+fn exec_failure(e: ExecError) -> String {
+    match e {
+        ExecError::WorkerPanicked { message, .. } => std::panic::resume_unwind(Box::new(message)),
+        ExecError::Backend { message } => format!("bisect backend failed: {message}"),
+    }
+}
+
+impl HierarchicalResult {
+    fn crashed(mut self, reason: String) -> Self {
+        self.outcome = SearchOutcome::Crashed(reason);
+        self
+    }
+}
+
+/// The File → Symbol search, with every independent Test query fanned
+/// out on `backend`; its width is the search's width.
 ///
-/// Three parallel stages, each *decided* by the planner and *folded* in
-/// the serial order: the file-level search runs as a frontier-driven
-/// plan (both halves of every split, plus speculation, evaluated
-/// concurrently through a single-flight [`SharedOracle`]); the `-fPIC`
-/// probes of all found files run as one wave; the per-file symbol
-/// searches run as *joint* plans sharing the backend. The result —
-/// outcome, findings, execution counts, violations, and the `bisect.*`
-/// spans/counters — is byte-identical to [`bisect_hierarchical`] at any
-/// worker count; only the additional `exec.wave` scheduling spans
-/// depend on the backend width. With a remote backend
-/// ([`ExecBackend::is_remote`], e.g. the `process` coordinator), the
-/// same fan-out applies but each query evaluates in a worker
-/// subprocess via [`RemotePlane`].
+/// Each level is *decided* by the planner and *folded* in the serial
+/// order. The file-level search runs as a frontier-driven plan; the
+/// `-fPIC` probes of the found files run as one wave; their symbol
+/// searches run as *joint* plans sharing the backend. Wider backends
+/// evaluate both halves of every split plus speculation concurrently
+/// through a single-flight [`SharedOracle`]. One worker has nothing to
+/// schedule or speculate: it answers only the query the serial replay
+/// needs next, walks the found files one at a time (probe, then that
+/// file's symbol search), and records no `exec.wave` / `exec.query`
+/// scheduling telemetry. The result — outcome, findings, execution
+/// counts, violations, and the `bisect.*` spans/counters — is
+/// byte-identical at any width. With a remote backend
+/// ([`ExecBackend::is_remote`], e.g. the `process` coordinator), each
+/// query evaluates in a worker subprocess via [`RemotePlane`].
 ///
-/// A panicking Test (which would abort the serial process) surfaces as
-/// [`SearchOutcome::Crashed`], as does a backend whose retry budget is
-/// exhausted.
+/// A panicking Test unwinds out of the search with its message at every
+/// width; a backend whose retry budget is exhausted surfaces as
+/// [`SearchOutcome::Crashed`].
 pub fn bisect_hierarchical_parallel(
     baseline: &Build,
     variable: &Build,
@@ -898,101 +642,76 @@ pub fn bisect_hierarchical_parallel(
     cfg: &HierarchicalConfig,
     backend: &dyn ExecBackend,
 ) -> HierarchicalResult {
-    let mut executions = 0usize;
-    let mut violations: Vec<String> = Vec::new();
-
+    let mut res = HierarchicalResult {
+        outcome: SearchOutcome::Completed,
+        files: vec![],
+        symbols: vec![],
+        file_level_only: vec![],
+        executions: 0,
+        violations: vec![],
+    };
+    // One search = one file-level span plus one symbol-level span per
+    // searched file, labelled by the (driver, variable compilation)
+    // pair that identifies the search.
     let search = format!("{}/{}", driver.name, variable.compilation.label());
+    let variable_label = variable.compilation.label();
     let reference_runs = cfg.trace.counter(counter_names::BISECT_REFERENCE_RUNS);
     let probe_runs = cfg.trace.counter(counter_names::BISECT_PROBE_RUNS);
-
-    let crashed = |message: String,
-                   files: Vec<FileFinding>,
-                   symbols: Vec<SymbolFinding>,
-                   file_level_only: Vec<usize>,
-                   executions: usize,
-                   violations: Vec<String>| HierarchicalResult {
-        outcome: SearchOutcome::Crashed(message),
-        files,
-        symbols,
-        file_level_only,
-        executions,
-        violations,
-    };
-
-    let variable_label = variable.compilation.label();
-    let keys = cfg
-        .ledger
-        .as_ref()
-        .map(|_| search_keys(baseline, variable, driver, input, cfg));
+    let routed = cfg.ledger.as_ref().map(|l| {
+        (
+            l.clone(),
+            search_keys(baseline, variable, driver, input, cfg),
+        )
+    });
     let plane = cfg.plane(baseline, variable, driver, input);
-
-    // Reference run under the trusted baseline build (serial: it is one
-    // run and everything downstream compares against it).
-    let reference = {
-        let compute = || plane.run_recipe(&ExeRecipe::Baseline);
-        match (&cfg.ledger, &keys) {
-            (Some(ledger), Some(keys)) => ledger.eval_output(&keys.reference(), compute),
-            _ => compute(),
-        }
+    let serial = backend.workers() <= 1;
+    let sched = if serial {
+        TraceSink::disabled()
+    } else {
+        cfg.trace.clone()
     };
-    let base_out = match reference {
-        Ok((out, _)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            out
-        }
-        // A failed baseline *link* is not an execution.
-        Err(TestError::Link(e)) => {
-            return crashed(
-                format!("baseline link failed: {e}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(TestError::Crash(e)) => {
-            executions += 1;
-            reference_runs.incr(1);
-            return crashed(
-                format!("baseline run failed: {e}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            );
-        }
-    };
-
     let mode = match cfg.k {
         None => SearchMode::All,
         Some(k) => SearchMode::Biggest(k),
     };
 
-    // ---- File Bisect (planner-driven) ----
+    // Reference run under the trusted baseline build. Through a ledger
+    // the answer (the full output vector) may be served by another
+    // search or a journal replay; the accounting is identical either
+    // way.
+    let reference = {
+        let compute = || plane.run_recipe(&ExeRecipe::Baseline);
+        match &routed {
+            Some((ledger, keys)) => ledger.eval_output(&keys.reference(), compute),
+            None => compute(),
+        }
+    };
+    let base_out = match reference {
+        Ok((out, _)) => {
+            res.executions += 1;
+            reference_runs.incr(1);
+            out
+        }
+        // A failed baseline *link* is not an execution.
+        Err(TestError::Link(e)) => return res.crashed(format!("baseline link failed: {e}")),
+        Err(TestError::Crash(e)) => {
+            res.executions += 1;
+            reference_runs.incr(1);
+            return res.crashed(format!("baseline run failed: {e}"));
+        }
+    };
+
+    // ---- File Bisect ----
     let prune = cfg.prescreen.as_ref().filter(|p| p.prune);
     let all_file_ids: Vec<usize> = (0..baseline.program.files.len()).collect();
-    let file_ids: Vec<usize> = match prune {
-        Some(p) => {
-            let kept: Vec<usize> = all_file_ids
-                .iter()
-                .copied()
-                .filter(|id| p.keep_file(*id))
-                .collect();
-            let pruned_counter = if p.certificates.is_some() {
-                counter_names::ABSINT_PRUNED_FILES
-            } else {
-                counter_names::LINT_PRUNED_FILES
-            };
-            cfg.trace
-                .counter(pruned_counter)
-                .incr((all_file_ids.len() - kept.len()) as u64);
-            kept
-        }
-        None => all_file_ids.clone(),
-    };
+    let file_ids: Vec<usize> = all_file_ids
+        .iter()
+        .copied()
+        .filter(|id| prune.is_none_or(|p| p.keep_file(*id)))
+        .collect();
+    if let Some(p) = prune {
+        Level::File.count_pruned(&cfg.trace, p, all_file_ids.len() - file_ids.len());
+    }
     let file_score = |items: &[usize]| -> f64 {
         let p = cfg.prescreen.as_ref().expect("seed implies a prescreen");
         items.iter().map(|i| p.file_score(*i)).fold(0.0, f64::max)
@@ -1000,6 +719,7 @@ pub fn bisect_hierarchical_parallel(
     let file_seed: Option<SpeculationScore<'_, usize>> = cfg
         .prescreen
         .as_ref()
+        .filter(|_| !serial)
         .map(|_| &file_score as SpeculationScore<'_, usize>);
     let file_raw = |items: &[usize]| -> Result<(f64, f64), TestError> {
         let recipe = ExeRecipe::FileMixed {
@@ -1008,605 +728,237 @@ pub fn bisect_hierarchical_parallel(
         let (out, seconds) = plane.run_recipe(&recipe)?;
         Ok((compare(&base_out, &out), seconds))
     };
-    let file_oracle = match (&cfg.ledger, &keys) {
-        (Some(ledger), Some(keys)) => {
-            let k = keys.clone();
-            let vl = variable_label.clone();
-            SharedOracle::with_ledger(file_raw, &cfg.trace, ledger.clone(), move |items| {
-                k.file_query(&vl, items)
-            })
-        }
-        _ => SharedOracle::new(file_raw, &cfg.trace),
-    };
+    let file_oracle = routed_oracle(file_raw, &sched, routed.as_ref(), |k, items| {
+        k.file_query(&variable_label, items)
+    });
     let file_label = format!("{search}/file");
-    let mut file_plans = [BisectPlan::new(&file_ids, mode)];
-    let file_driven = drive_plans_seeded(
+    let mut file_plans = [level_plan(&file_ids, mode, serial)];
+    let file_result = match drive_plans_seeded(
         &mut file_plans,
         &[&file_oracle],
         backend,
-        &cfg.trace,
+        &sched,
         &file_label,
         file_seed,
-    );
-    let file_result = match file_driven {
-        Err(ExecError::WorkerPanicked { message, .. }) => {
-            return crashed(
-                format!("bisect worker panicked: {message}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(ExecError::Backend { message }) => {
-            return crashed(
-                format!("bisect backend failed: {message}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
+    ) {
         Ok(mut results) => results.pop().expect("one file-level plan"),
+        Err(e) => return res.crashed(exec_failure(e)),
     };
-    // Counters and the level span cover the executions the *serial*
-    // algorithm performs — on failures too — never the speculation.
-    let (mut file_execs, mut file_secs) = match &file_result {
-        Ok(p) => (p.outcome.executions, p.seconds),
-        Err(f) => (f.executions, f.seconds),
-    };
-    // Prune guard, byte-identical to the serial path (the oracle may
-    // serve these from the memo; the accounting is unconditional).
-    let mut guard_violations: Vec<String> = Vec::new();
-    let mut guard_error: Option<TestError> = None;
-    if let Some(pre) = prune.filter(|_| file_ids.len() < all_file_ids.len()) {
-        if let Ok(p) = &file_result {
-            let certified = pre.certificates.is_some();
-            let mut found_ids: Vec<usize> = p.outcome.found.iter().map(|(i, _)| *i).collect();
-            found_ids.sort_unstable();
-            let (full, found_v) = if certified {
-                cfg.trace
-                    .counter(counter_names::ABSINT_PRUNE_AUDITS)
-                    .incr(1);
-                file_execs += 1;
-                let full = file_oracle.eval(&all_file_ids);
-                if let Ok((_, s)) = &full {
-                    file_secs += *s;
-                }
-                let found_v = match found_verification_value(&p.outcome) {
-                    Some(v) => Ok((v, 0.0)),
-                    None => {
-                        file_execs += 1;
-                        let r = file_oracle.eval(&found_ids);
-                        if let Ok((_, s)) = &r {
-                            file_secs += *s;
-                        }
-                        r
-                    }
-                };
-                (full, found_v)
-            } else {
-                file_execs += 2;
-                cfg.trace
-                    .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
-                    .incr(2);
-                let full = file_oracle.eval(&all_file_ids);
-                if let Ok((_, s)) = &full {
-                    file_secs += *s;
-                }
-                let found_v = file_oracle.eval(&found_ids);
-                if let Ok((_, s)) = &found_v {
-                    file_secs += *s;
-                }
-                (full, found_v)
-            };
-            match (full, found_v) {
-                (Ok((a, _)), Ok((b, _))) => {
-                    if a != b {
-                        guard_violations.push(if certified {
-                            certified_audit_violation("file", a, b)
-                        } else {
-                            prune_guard_violation("file", a, b)
-                        });
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => guard_error = Some(e),
-            }
-        }
-    }
-    executions += file_execs;
-    cfg.trace
-        .counter(counter_names::BISECT_FILE_RUNS)
-        .incr(file_execs as u64);
-    cfg.trace.span(
-        phase::BISECT_FILE,
+    let guard = prune
+        .filter(|_| file_ids.len() < all_file_ids.len())
+        .map(|p| (p, &file_oracle, all_file_ids.as_slice()));
+    let (file_outcome, guard_violation) = match settle_level(
+        file_result,
+        guard,
+        Level::File,
         search.clone(),
-        file_execs as u64,
-        file_secs,
-    );
-    match guard_error {
-        Some(TestError::Crash(s)) => {
-            return crashed(s, vec![], vec![], vec![], executions, violations)
-        }
-        Some(TestError::Link(s)) => {
-            return crashed(
-                format!("link: {s}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        None => {}
-    }
-    let file_outcome: PlanOutcome<usize> = match file_result {
-        Ok(p) => p,
-        Err(PlanFailure {
-            error: TestError::Crash(s),
-            ..
-        }) => return crashed(s, vec![], vec![], vec![], executions, violations),
-        Err(PlanFailure {
-            error: TestError::Link(s),
-            ..
-        }) => {
-            return crashed(
-                format!("link: {s}"),
-                vec![],
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
+        &cfg.trace,
+        &mut res.executions,
+    ) {
+        Ok(settled) => settled,
+        Err(reason) => return res.crashed(reason),
     };
-    emit_query_spans(&cfg.trace, &file_label, &file_outcome);
-    for v in &file_outcome.outcome.violations {
-        violations.push(violation_string(v, |id| {
-            baseline.program.files[*id].name.clone()
-        }));
-    }
-    violations.append(&mut guard_violations);
-
-    let files: Vec<FileFinding> = file_outcome
+    emit_query_spans(&sched, &file_label, &file_outcome);
+    let file_name = |id: &usize| baseline.program.files[*id].name.clone();
+    res.violations.extend(
+        file_outcome
+            .outcome
+            .violations
+            .iter()
+            .map(|v| v.describe(file_name)),
+    );
+    res.violations.extend(guard_violation);
+    res.files = file_outcome
         .outcome
         .found
         .iter()
         .map(|(id, value)| FileFinding {
             file_id: *id,
-            file_name: baseline.program.files[*id].name.clone(),
+            file_name: file_name(id),
             value: *value,
         })
         .collect();
-    check_certified_bounds(cfg, &files, &mut violations);
+    check_certified_bounds(cfg, &res.files, &mut res.violations);
 
-    if files.is_empty() {
-        let outcome = if violations.is_empty() {
+    if res.files.is_empty() {
+        // Nothing found and nothing flagged: the mixed link cannot
+        // reproduce the variability — link-step blame.
+        res.outcome = if res.violations.is_empty() {
             SearchOutcome::LinkStepOnly
         } else {
             SearchOutcome::AssumptionViolated
         };
-        return HierarchicalResult {
-            outcome,
-            files,
-            symbols: vec![],
-            file_level_only: vec![],
-            executions,
-            violations,
-        };
+        return res;
     }
 
-    // ---- -fPIC probes: one wave over all found files ----
-    let probe_wave = run_on(backend, files.len(), |i| {
-        let fid = files[i].file_id;
-        let compute = || -> Result<(f64, f64), TestError> {
-            let (out, seconds) = plane.run_recipe(&ExeRecipe::PicProbe { file: fid })?;
-            Ok((compare(&base_out, &out), seconds))
-        };
-        let answer = match (&cfg.ledger, &keys) {
-            (Some(ledger), Some(keys)) => {
-                ledger.eval_score(&keys.probe(&variable_label, fid), compute)
-            }
-            _ => compute(),
-        };
-        match answer {
-            Ok((v, _)) => ProbeOutcome::Value(v),
-            Err(TestError::Link(e)) => ProbeOutcome::LinkFail(format!("pic probe link: {e}")),
-            Err(TestError::Crash(s)) => ProbeOutcome::RunFail(s),
-        }
-    });
-    let probes = match probe_wave {
-        Ok(p) => p,
-        Err(ExecError::WorkerPanicked { message, .. }) => {
-            return crashed(
-                format!("bisect worker panicked: {message}"),
-                files,
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(ExecError::Backend { message }) => {
-            return crashed(
-                format!("bisect backend failed: {message}"),
-                files,
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-    };
-
-    // ---- Symbol Bisect: joint plans for every candidate file ----
-    // Candidates are chosen optimistically (probe positive, exported
-    // symbols present); whether a candidate's result is *consumed* is
-    // decided by the fold below, which replicates the serial walk.
-    struct Candidate {
-        fid: usize,
-        syms: Vec<String>,
-    }
-    let candidates: Vec<Candidate> = files
-        .iter()
-        .enumerate()
-        .filter_map(|(i, finding)| match probes[i] {
-            ProbeOutcome::Value(v) if v != 0.0 => {
-                let syms = baseline.program.exported_symbols_of_file(finding.file_id);
-                if syms.is_empty() {
-                    return None;
-                }
-                // Under pruning the plan searches only the kept symbols
-                // (the fold accounts for what was dropped, in serial
-                // order). A fully-pruned file still gets a plan so the
-                // fold has a result to consume.
-                let syms = match prune {
-                    Some(p) => syms.into_iter().filter(|s| p.keep_symbol(s)).collect(),
-                    None => syms,
-                };
-                Some(Candidate {
-                    fid: finding.file_id,
-                    syms,
-                })
-            }
-            _ => None,
-        })
-        .collect();
-    let sym_oracles: Vec<SharedOracle<'_, String>> = candidates
-        .iter()
-        .map(|c| {
-            let fid = c.fid;
-            let base_out = &base_out;
-            let plane = &plane;
-            let raw = move |items: &[String]| -> Result<(f64, f64), TestError> {
-                let recipe = ExeRecipe::SymbolMixed {
-                    file: fid,
-                    items: items.to_vec(),
-                };
-                let (out, seconds) = plane.run_recipe(&recipe)?;
-                Ok((compare(base_out, &out), seconds))
+    // ---- -fPIC probes and Symbol Bisect, in chunks of found files ----
+    let files = res.files.clone();
+    let chunk_len = if serial { 1 } else { files.len() };
+    for chunk in files.chunks(chunk_len) {
+        // -fPIC probe: does the variability survive the recompile?
+        let probes = match run_on(backend, chunk.len(), |i| {
+            let fid = chunk[i].file_id;
+            let compute = || -> Result<(f64, f64), TestError> {
+                let (out, seconds) = plane.run_recipe(&ExeRecipe::PicProbe { file: fid })?;
+                Ok((compare(&base_out, &out), seconds))
             };
-            match (&cfg.ledger, &keys) {
-                (Some(ledger), Some(keys)) => {
-                    let k = keys.clone();
-                    let vl = variable_label.clone();
-                    SharedOracle::with_ledger(raw, &cfg.trace, ledger.clone(), move |items| {
-                        k.symbol_query(&vl, fid, items)
+            let answer = match &routed {
+                Some((ledger, keys)) => {
+                    ledger.eval_score(&keys.probe(&variable_label, fid), compute)
+                }
+                None => compute(),
+            };
+            answer.map(|(v, _)| v)
+        }) {
+            Ok(p) => p,
+            Err(e) => return res.crashed(exec_failure(e)),
+        };
+
+        // Candidates are chosen optimistically (probe positive, exported
+        // symbols present); whether a candidate's result is *consumed*
+        // is decided by the fold below, which replicates the serial
+        // walk. Under pruning a plan searches only the kept symbols; a
+        // fully-pruned file still gets a plan so the fold has a result
+        // to consume.
+        let candidates: Vec<(usize, Vec<String>)> = chunk
+            .iter()
+            .zip(&probes)
+            .filter_map(|(finding, probe)| match probe {
+                Ok(v) if *v != 0.0 => {
+                    let syms = baseline.program.exported_symbols_of_file(finding.file_id);
+                    (!syms.is_empty()).then(|| {
+                        let kept = syms
+                            .into_iter()
+                            .filter(|s| prune.is_none_or(|p| p.keep_symbol(s)));
+                        (finding.file_id, kept.collect())
                     })
                 }
-                _ => SharedOracle::new(raw, &cfg.trace),
-            }
-        })
-        .collect();
-    let mut sym_plans: Vec<BisectPlan<String>> = candidates
-        .iter()
-        .map(|c| BisectPlan::new(&c.syms, mode))
-        .collect();
-    let oracle_refs: Vec<&SharedOracle<'_, String>> = sym_oracles.iter().collect();
-    let sym_score = |items: &[String]| -> f64 {
-        let p = cfg.prescreen.as_ref().expect("seed implies a prescreen");
-        items.iter().map(|s| p.symbol_score(s)).fold(0.0, f64::max)
-    };
-    let sym_seed: Option<SpeculationScore<'_, String>> = cfg
-        .prescreen
-        .as_ref()
-        .map(|_| &sym_score as SpeculationScore<'_, String>);
-    let oracle_idx_by_fid: std::collections::HashMap<usize, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.fid, i))
-        .collect();
-    let sym_driven = drive_plans_seeded(
-        &mut sym_plans,
-        &oracle_refs,
-        backend,
-        &cfg.trace,
-        &format!("{search}/symbol"),
-        sym_seed,
-    );
-    let sym_results = match sym_driven {
-        Ok(r) => r,
-        Err(ExecError::WorkerPanicked { message, .. }) => {
-            return crashed(
-                format!("bisect worker panicked: {message}"),
-                files,
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-        Err(ExecError::Backend { message }) => {
-            return crashed(
-                format!("bisect backend failed: {message}"),
-                files,
-                vec![],
-                vec![],
-                executions,
-                violations,
-            )
-        }
-    };
-    let mut sym_by_fid: std::collections::HashMap<usize, Result<PlanOutcome<String>, PlanFailure>> =
-        candidates.iter().map(|c| c.fid).zip(sym_results).collect();
-
-    // ---- Fold in file order: replicate the serial walk byte-for-byte,
-    // discarding any speculative results the serial path never reaches.
-    let mut symbols: Vec<SymbolFinding> = Vec::new();
-    let mut file_level_only: Vec<usize> = Vec::new();
-    for (i, finding) in files.iter().enumerate() {
-        let fid = finding.file_id;
-        match &probes[i] {
-            ProbeOutcome::LinkFail(msg) => {
-                return crashed(
-                    msg.clone(),
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
-            }
-            ProbeOutcome::RunFail(msg) => {
-                executions += 1;
-                probe_runs.incr(1);
-                return crashed(
-                    msg.clone(),
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                );
-            }
-            ProbeOutcome::Value(v) => {
-                executions += 1;
-                probe_runs.incr(1);
-                if *v == 0.0 {
-                    file_level_only.push(fid);
-                    continue;
-                }
-            }
-        }
-        let all_syms = baseline.program.exported_symbols_of_file(fid);
-        if all_syms.is_empty() {
-            file_level_only.push(fid);
-            continue;
-        }
-        let kept_syms = match prune {
-            Some(p) => {
-                let kept = all_syms.iter().filter(|s| p.keep_symbol(s)).count();
-                let pruned_counter = if p.certificates.is_some() {
-                    counter_names::ABSINT_PRUNED_SYMBOLS
-                } else {
-                    counter_names::LINT_PRUNED_SYMBOLS
-                };
-                cfg.trace
-                    .counter(pruned_counter)
-                    .incr((all_syms.len() - kept) as u64);
-                kept
-            }
-            None => all_syms.len(),
-        };
-        let sym_result = sym_by_fid
-            .remove(&fid)
-            .expect("candidate plan for every searched file");
-        let (mut sym_execs, mut sym_secs) = match &sym_result {
-            Ok(p) => (p.outcome.executions, p.seconds),
-            Err(f) => (f.executions, f.seconds),
-        };
-        // Symbol-level prune guard, mirroring the serial path.
-        let mut guard_violations: Vec<String> = Vec::new();
-        let mut guard_error: Option<TestError> = None;
-        if let Some(pre) = prune.filter(|_| kept_syms < all_syms.len()) {
-            if let Ok(p) = &sym_result {
-                let certified = pre.certificates.is_some();
-                let oracle = sym_oracles
-                    .get(oracle_idx_by_fid[&fid])
-                    .expect("oracle for every candidate");
-                let mut full = all_syms.clone();
-                full.sort();
-                let mut found_syms: Vec<String> =
-                    p.outcome.found.iter().map(|(s, _)| s.clone()).collect();
-                found_syms.sort();
-                let (a, b) = if certified {
-                    cfg.trace
-                        .counter(counter_names::ABSINT_PRUNE_AUDITS)
-                        .incr(1);
-                    sym_execs += 1;
-                    let a = oracle.eval(&full);
-                    if let Ok((_, s)) = &a {
-                        sym_secs += *s;
-                    }
-                    let b = match found_verification_value(&p.outcome) {
-                        Some(v) => Ok((v, 0.0)),
-                        None => {
-                            sym_execs += 1;
-                            let r = oracle.eval(&found_syms);
-                            if let Ok((_, s)) = &r {
-                                sym_secs += *s;
-                            }
-                            r
-                        }
+                _ => None,
+            })
+            .collect();
+        let sym_oracles: Vec<SharedOracle<'_, String>> = candidates
+            .iter()
+            .map(|(fid, _)| {
+                let fid = *fid;
+                let (base_out, plane, variable_label) = (&base_out, &plane, &variable_label);
+                let raw = move |items: &[String]| -> Result<(f64, f64), TestError> {
+                    let recipe = ExeRecipe::SymbolMixed {
+                        file: fid,
+                        items: items.to_vec(),
                     };
-                    (a, b)
-                } else {
-                    sym_execs += 2;
-                    cfg.trace
-                        .counter(counter_names::LINT_PRUNE_VERIFICATIONS)
-                        .incr(2);
-                    let a = oracle.eval(&full);
-                    if let Ok((_, s)) = &a {
-                        sym_secs += *s;
-                    }
-                    let b = oracle.eval(&found_syms);
-                    if let Ok((_, s)) = &b {
-                        sym_secs += *s;
-                    }
-                    (a, b)
+                    let (out, seconds) = plane.run_recipe(&recipe)?;
+                    Ok((compare(base_out, &out), seconds))
                 };
-                match (a, b) {
-                    (Ok((av, _)), Ok((bv, _))) => {
-                        if av != bv {
-                            guard_violations.push(if certified {
-                                certified_audit_violation("symbol", av, bv)
-                            } else {
-                                prune_guard_violation("symbol", av, bv)
-                            });
-                        }
+                routed_oracle(raw, &sched, routed.as_ref(), move |k, items| {
+                    k.symbol_query(variable_label, fid, items)
+                })
+            })
+            .collect();
+        let mut sym_plans: Vec<BisectPlan<String>> = candidates
+            .iter()
+            .map(|(_, syms)| level_plan(syms, mode, serial))
+            .collect();
+        let oracle_refs: Vec<&SharedOracle<'_, String>> = sym_oracles.iter().collect();
+        let sym_score = |items: &[String]| -> f64 {
+            let p = cfg.prescreen.as_ref().expect("seed implies a prescreen");
+            items.iter().map(|s| p.symbol_score(s)).fold(0.0, f64::max)
+        };
+        let sym_seed: Option<SpeculationScore<'_, String>> = cfg
+            .prescreen
+            .as_ref()
+            .filter(|_| !serial)
+            .map(|_| &sym_score as SpeculationScore<'_, String>);
+        let sym_results = match drive_plans_seeded(
+            &mut sym_plans,
+            &oracle_refs,
+            backend,
+            &sched,
+            &format!("{search}/symbol"),
+            sym_seed,
+        ) {
+            Ok(r) => r,
+            Err(e) => return res.crashed(exec_failure(e)),
+        };
+        let mut searched = candidates.iter().zip(&sym_oracles).zip(sym_results);
+
+        // ---- Fold in file order: replicate the serial walk
+        // byte-for-byte, discarding any speculative results the serial
+        // path never reaches.
+        for (finding, probe) in chunk.iter().zip(probes) {
+            let fid = finding.file_id;
+            match probe {
+                // A failed probe *link* is not an execution.
+                Err(TestError::Link(e)) => return res.crashed(format!("pic probe link: {e}")),
+                Err(TestError::Crash(s)) => {
+                    res.executions += 1;
+                    probe_runs.incr(1);
+                    return res.crashed(s);
+                }
+                Ok(v) => {
+                    res.executions += 1;
+                    probe_runs.incr(1);
+                    if v == 0.0 {
+                        res.file_level_only.push(fid);
+                        continue;
                     }
-                    (Err(e), _) | (_, Err(e)) => guard_error = Some(e),
                 }
             }
-        }
-        executions += sym_execs;
-        cfg.trace
-            .counter(counter_names::BISECT_SYMBOL_RUNS)
-            .incr(sym_execs as u64);
-        let sym_label = format!("{search}/{}", baseline.program.files[fid].name);
-        cfg.trace.span(
-            phase::BISECT_SYMBOL,
-            sym_label.clone(),
-            sym_execs as u64,
-            sym_secs,
-        );
-        match guard_error {
-            Some(TestError::Crash(s)) => {
-                return crashed(
-                    s,
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
+            let all_syms = baseline.program.exported_symbols_of_file(fid);
+            if all_syms.is_empty() {
+                res.file_level_only.push(fid);
+                continue;
             }
-            Some(TestError::Link(s)) => {
-                return crashed(
-                    format!("link: {s}"),
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
+            let (((_, kept), oracle), sym_result) = searched
+                .next()
+                .expect("candidate plan for every searched file");
+            if let Some(p) = prune {
+                Level::Symbol.count_pruned(&cfg.trace, p, all_syms.len() - kept.len());
             }
-            None => {}
-        }
-        match sym_result {
-            Ok(p) => {
-                emit_query_spans(&cfg.trace, &sym_label, &p);
-                for v in &p.outcome.violations {
-                    violations.push(violation_string(v, Clone::clone));
-                }
-                violations.append(&mut guard_violations);
-                if p.outcome.found.is_empty() {
-                    file_level_only.push(fid);
-                }
-                for (symbol, value) in p.outcome.found {
-                    symbols.push(SymbolFinding {
+            let sym_label = format!("{search}/{}", baseline.program.files[fid].name);
+            let guard = prune
+                .filter(|_| kept.len() < all_syms.len())
+                .map(|p| (p, oracle, all_syms.as_slice()));
+            let (p, guard_violation) = match settle_level(
+                sym_result,
+                guard,
+                Level::Symbol,
+                sym_label.clone(),
+                &cfg.trace,
+                &mut res.executions,
+            ) {
+                Ok(settled) => settled,
+                Err(reason) => return res.crashed(reason),
+            };
+            emit_query_spans(&sched, &sym_label, &p);
+            res.violations.extend(
+                p.outcome
+                    .violations
+                    .iter()
+                    .map(|v| v.describe(Clone::clone)),
+            );
+            res.violations.extend(guard_violation);
+            if p.outcome.found.is_empty() {
+                // Exported-symbol interposition cannot reproduce it
+                // (e.g. variability lives in statics/inlined code).
+                res.file_level_only.push(fid);
+            }
+            res.symbols.extend(
+                p.outcome
+                    .found
+                    .into_iter()
+                    .map(|(symbol, value)| SymbolFinding {
                         symbol,
                         file_id: fid,
                         value,
-                    });
-                }
-            }
-            Err(PlanFailure {
-                error: TestError::Crash(s),
-                ..
-            }) => {
-                return crashed(
-                    s,
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
-            }
-            Err(PlanFailure {
-                error: TestError::Link(s),
-                ..
-            }) => {
-                return crashed(
-                    format!("link: {s}"),
-                    files.clone(),
-                    symbols,
-                    file_level_only,
-                    executions,
-                    violations,
-                )
-            }
+                    }),
+            );
         }
     }
 
-    let outcome = if violations.is_empty() {
-        SearchOutcome::Completed
-    } else {
-        SearchOutcome::AssumptionViolated
-    };
-    HierarchicalResult {
-        outcome,
-        files,
-        symbols,
-        file_level_only,
-        executions,
-        violations,
+    if !res.violations.is_empty() {
+        res.outcome = SearchOutcome::AssumptionViolated;
     }
-}
-
-fn violation_string<I>(v: &AssumptionViolation<I>, name: impl Fn(&I) -> String) -> String {
-    match v {
-        AssumptionViolation::SingletonBlame { element } => format!(
-            "singleton-blame assumption violated at `{}` (possible false negatives)",
-            name(element)
-        ),
-        AssumptionViolation::UniqueError {
-            items_value,
-            found_value,
-        } => format!(
-            "unique-error assumption violated: Test(items)={items_value} != Test(found)={found_value}"
-        ),
-    }
-}
-
-/// Adapter: counts real executions through an external counter so the
-/// hierarchical result can report a single total.
-struct CountingTest<'c, F> {
-    inner: F,
-    count: &'c mut usize,
-}
-
-impl<I, F> TestFn<I> for CountingTest<'_, F>
-where
-    F: FnMut(&[I]) -> Result<f64, TestError>,
-{
-    fn test(&mut self, items: &[I]) -> Result<f64, TestError> {
-        *self.count += 1;
-        (self.inner)(items)
-    }
+    res
 }
 
 #[cfg(test)]
@@ -2039,7 +1391,8 @@ mod tests {
         );
         assert_eq!(par, serial);
         assert_eq!(counters(&par_trace), counters(&serial_trace));
-        // The parallel run additionally reports scheduling telemetry.
+        // The parallel run additionally reports scheduling telemetry;
+        // one worker has nothing to schedule, so its trace has none.
         let waves = par_trace
             .registry()
             .unwrap()
@@ -2048,6 +1401,49 @@ mod tests {
             .copied()
             .unwrap_or(0);
         assert!(waves > 0, "parallel search should record its waves");
+        let width1 = serial_trace.snapshot();
+        assert!(
+            width1
+                .counters()
+                .keys()
+                .all(|name| name.starts_with("bisect.")),
+            "{:?}",
+            width1.counters()
+        );
+        assert_eq!(
+            width1.phases(),
+            vec![phase::BISECT_FILE, phase::BISECT_SYMBOL]
+        );
+    }
+
+    /// A panicking Test unwinds out of the search with its own message
+    /// at every width — it is a bug in the metric, never reported as a
+    /// crashed mixed executable.
+    #[test]
+    fn a_panicking_test_unwinds_at_every_width() {
+        let p = program();
+        let base = Build::new(&p, Compilation::baseline());
+        let var = Build::tagged(&p, unsafe_variable(), 1);
+        let exploding = |_: &[f64], _: &[f64]| -> f64 { panic!("metric exploded") };
+        for jobs in [1, 4] {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                bisect_hierarchical_parallel(
+                    &base,
+                    &var,
+                    &driver(),
+                    &[0.5, 0.25],
+                    &exploding,
+                    &HierarchicalConfig::all(),
+                    &flit_exec::ThreadsBackend::new(jobs),
+                )
+            }))
+            .expect_err("the panic must reach the caller");
+            assert_eq!(
+                flit_exec::executor::panic_message(unwound.as_ref()),
+                "metric exploded",
+                "jobs={jobs}"
+            );
+        }
     }
 
     fn unsafe_variable() -> Compilation {

@@ -13,7 +13,8 @@
 //! * [`hierarchy`] — the dual-level File→Symbol search (§2.3), built on
 //!   the linker/objcopy machinery: File Bisect mixes object files,
 //!   Symbol Bisect re-compiles the found file with `-fPIC` and links two
-//!   complementarily-weakened copies.
+//!   complementarily-weakened copies. One planner-driven search whose
+//!   width comes from the execution backend it runs on.
 //! * [`baselines`] — Zeller–Hildebrandt `ddmin` (delta debugging) and a
 //!   linear scan, implemented for the complexity comparisons
 //!   (O(k·log N) vs O(k²·log N) vs O(N)).

@@ -34,6 +34,17 @@ impl std::fmt::Display for TestError {
 
 impl std::error::Error for TestError {}
 
+impl TestError {
+    /// The reason a search reports when this error aborts it: a crash's
+    /// own message, or the link failure prefixed with `link: `.
+    pub fn abort_reason(self) -> String {
+        match self {
+            TestError::Crash(s) => s,
+            TestError::Link(s) => format!("link: {s}"),
+        }
+    }
+}
+
 /// A Test function over item subsets.
 pub trait TestFn<I> {
     /// Evaluate the metric on a subset of items (presented sorted).

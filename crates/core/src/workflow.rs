@@ -551,6 +551,69 @@ mod tests {
         }
     }
 
+    /// A query plane that answers the baseline run in-process and
+    /// panics on every mixed executable: a panicking Test inside each
+    /// search's fan-out.
+    #[derive(Debug)]
+    struct PanickingPlane;
+
+    impl flit_exec::ExecBackend for PanickingPlane {
+        fn label(&self) -> &str {
+            "panicking"
+        }
+
+        fn workers(&self) -> usize {
+            1
+        }
+
+        fn is_remote(&self) -> bool {
+            true
+        }
+
+        fn run_units(&self, units: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), ExecError> {
+            flit_exec::ExecBackend::run_units(&ThreadsBackend::new(1), units, f)
+        }
+
+        fn dispatch(
+            &self,
+            query: &flit_exec::QueryEnvelope,
+        ) -> Result<flit_exec::AnswerEnvelope, ExecError> {
+            assert!(query.spec.contains("Baseline"), "mixed executable exploded");
+            Ok(flit_exec::AnswerEnvelope {
+                payload: flit_bisect::wire::evaluate(&query.task_digest, &query.task, &query.spec),
+            })
+        }
+    }
+
+    /// A panicking Test fails the workflow with the row's compilation
+    /// named, at any job count; it is never reported as a crashed mixed
+    /// executable.
+    #[test]
+    fn a_panicking_search_fails_the_workflow_at_any_job_count() {
+        let comps = vec![
+            Compilation::baseline(),
+            Compilation::new(CompilerKind::Gcc, OptLevel::O2, vec![Switch::Avx2Fma]),
+            Compilation::new(CompilerKind::Gcc, OptLevel::O3, vec![Switch::Avx2FmaUnsafe]),
+        ];
+        for jobs in [1, 2] {
+            let cfg = WorkflowConfig {
+                jobs,
+                bisect: HierarchicalConfig::all().with_backend(Arc::new(PanickingPlane)),
+                ..WorkflowConfig::default()
+            };
+            let err = run_workflow(&program(), &suite(), &comps, &cfg)
+                .expect_err("a panicking search must fail the workflow");
+            assert_eq!(
+                err,
+                WorkflowError::Runner(RunnerError::WorkerPanicked {
+                    compilation: "g++ -O2 -mavx2 -mfma".into(),
+                    message: "mixed executable exploded".into(),
+                }),
+                "jobs={jobs}"
+            );
+        }
+    }
+
     #[test]
     fn stale_db_row_is_a_structured_row_mismatch_not_a_panic() {
         // A journal checkpointed before a suite rename carries rows

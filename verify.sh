@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build + tests, formatting, and lints.
+# Tier-1 verification: build + tests, formatting, lints, and the
+# hostbench tests (the benchmark must keep building against the API).
 # `./verify.sh --quick` runs only the planner/executor determinism
 # suite — the fast invariant check after touching the search machinery.
 # `./verify.sh --fuzz` runs a time-boxed differential fuzz campaign
@@ -11,6 +12,8 @@ cd "$(dirname "$0")"
 if [[ "${1:-}" == "--quick" ]]; then
   echo "== quick: jobs determinism (planner vs serial, 1 vs 8 workers) =="
   cargo test -q --test jobs_determinism
+  echo "== quick: golden File -> Symbol fixtures (recorded results + width-1 trace) =="
+  cargo test -q --test golden_hierarchy
   echo "== quick: static prescreen (flit-lint unit + soundness suite) =="
   cargo test -q -p flit-lint
   cargo test -q --test lint_soundness
@@ -88,6 +91,9 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== hostbench tests (the benchmark builds against the public API) =="
+cargo test --release --offline --manifest-path hostbench/Cargo.toml
 
 echo "== cargo run --example quickstart =="
 cargo run --release --example quickstart
