@@ -174,6 +174,8 @@ fn run_to_test_error(e: RunError) -> TestError {
         RunError::Crash(s) => TestError::Crash(s),
         RunError::MissingSymbol(s) => TestError::Link(format!("undefined symbol `{s}`")),
         e @ RunError::CorruptBuildTag { .. } => TestError::Link(e.to_string()),
+        // A real binary overflows its stack: a crash.
+        e @ RunError::CallDepthOverflow(_) => TestError::Crash(e.to_string()),
     }
 }
 

@@ -18,6 +18,7 @@ use flit_toolchain::cache::{BuildCtx, ObjectKey, RecipeHasher};
 use flit_toolchain::compilation::Compilation;
 use flit_toolchain::compiler::CompilerKind;
 use flit_toolchain::linker::{link, Executable, LinkError};
+use flit_toolchain::object::ObjectFile;
 
 use crate::model::SimProgram;
 
@@ -61,7 +62,7 @@ impl<'p> Build<'p> {
     }
 
     /// Compile one file under this build.
-    pub fn object(&self, file_id: usize, pic: bool) -> flit_toolchain::object::ObjectFile {
+    pub fn object(&self, file_id: usize, pic: bool) -> ObjectFile {
         let mut comp = self.compilation.clone();
         if pic {
             comp = comp.with_pic();
@@ -72,13 +73,8 @@ impl<'p> Build<'p> {
     }
 
     /// Compile one file through a build context (cache-aware form of
-    /// [`Build::object`]).
-    pub fn object_in(
-        &self,
-        ctx: &BuildCtx,
-        file_id: usize,
-        pic: bool,
-    ) -> flit_toolchain::object::ObjectFile {
+    /// [`Build::object`]). A cache hit shares the cached object.
+    pub fn object_in(&self, ctx: &BuildCtx, file_id: usize, pic: bool) -> Arc<ObjectFile> {
         ctx.object_with(
             ObjectKey {
                 program: self.program.fingerprint(),
@@ -92,7 +88,7 @@ impl<'p> Build<'p> {
     }
 
     /// Compile every file (without `-fPIC`) through a build context.
-    pub fn all_objects_in(&self, ctx: &BuildCtx) -> Vec<flit_toolchain::object::ObjectFile> {
+    pub fn all_objects_in(&self, ctx: &BuildCtx) -> Vec<Arc<ObjectFile>> {
         (0..self.program.files.len())
             .map(|i| self.object_in(ctx, i, false))
             .collect()
@@ -118,7 +114,7 @@ impl<'p> Build<'p> {
     /// into a link-recipe digest.
     fn hash_into(&self, h: &mut RecipeHasher) {
         h.write_u64(self.program.fingerprint());
-        h.write_str(&self.compilation.label());
+        h.write_fmt_field(format_args!("{}", self.compilation));
         h.write_u64(u64::from(self.tag));
     }
 }
@@ -182,7 +178,7 @@ fn recipe(scheme: &[u8], baseline: &Build, variable: &Build, driver: CompilerKin
     h.write(scheme).write(&[0xFF]);
     baseline.hash_into(&mut h);
     variable.hash_into(&mut h);
-    h.write_str(&format!("{driver:?}"));
+    h.write_fmt_field(format_args!("{driver:?}"));
     h
 }
 
@@ -210,8 +206,9 @@ pub fn symbol_mixed_executable(
 
 /// Cache-aware form of [`symbol_mixed_executable`]. The two `-fPIC`
 /// copies of the target file are cached *unweakened*; the
-/// selection-specific weakening is applied to clones, and the link is
-/// memoized on the full `(builds, driver, target, symbol set)` recipe.
+/// selection-specific weakening is applied to clones (the only objects
+/// this executable owns), and the link is memoized on the full
+/// `(builds, driver, target, symbol set)` recipe.
 pub fn symbol_mixed_executable_in(
     baseline: &Build,
     variable: &Build,
@@ -234,12 +231,14 @@ pub fn symbol_mixed_executable_in(
         let mut objects = Vec::with_capacity(baseline.program.files.len() + 1);
         for i in 0..baseline.program.files.len() {
             if i == target_file {
-                objects.push(
+                objects.push(Arc::new(
                     variable
                         .object_in(ctx, i, true)
                         .weaken_except(variable_symbols),
-                );
-                objects.push(baseline.object_in(ctx, i, true).weaken(variable_symbols));
+                ));
+                objects.push(Arc::new(
+                    baseline.object_in(ctx, i, true).weaken(variable_symbols),
+                ));
             } else {
                 objects.push(baseline.object_in(ctx, i, false));
             }
@@ -433,6 +432,32 @@ mod tests {
         let s_other =
             symbol_mixed_executable_in(&base, &var, 0, &other, CompilerKind::Gcc, &ctx).unwrap();
         assert_ne!(s_other.objects, s_cached.objects);
+    }
+
+    #[test]
+    fn memoized_executables_share_the_cached_objects() {
+        let p = program();
+        let base = Build::new(&p, Compilation::baseline());
+        let var = Build::tagged(&p, var_comp(), 1);
+        let ctx = BuildCtx::cached();
+        let set: BTreeSet<usize> = [0usize].into();
+        let exe = file_mixed_executable_in(&base, &var, &set, CompilerKind::Gcc, &ctx).unwrap();
+        assert!(Arc::ptr_eq(&exe.objects[0], &var.object_in(&ctx, 0, false)));
+        assert!(Arc::ptr_eq(
+            &exe.objects[1],
+            &base.object_in(&ctx, 1, false)
+        ));
+
+        // A symbol-mixed link owns only its two weakened copies.
+        let picked: BTreeSet<String> = ["f1".to_string()].into();
+        let sym =
+            symbol_mixed_executable_in(&base, &var, 0, &picked, CompilerKind::Gcc, &ctx).unwrap();
+        assert_eq!(Arc::strong_count(&sym.objects[0]), 1);
+        assert_eq!(Arc::strong_count(&sym.objects[1]), 1);
+        assert!(Arc::ptr_eq(
+            &sym.objects[2],
+            &base.object_in(&ctx, 1, false)
+        ));
     }
 
     #[test]

@@ -73,6 +73,11 @@ impl TimingProfile {
     }
 }
 
+/// Deepest call chain a run may reach. A program whose call graph has
+/// a cycle reaches it on every run (a real binary would overflow its
+/// stack).
+const MAX_CALL_DEPTH: usize = 64;
+
 /// Run-time failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -80,6 +85,9 @@ pub enum RunError {
     Crash(String),
     /// An entry or callee symbol has no definition in the executable.
     MissingSymbol(String),
+    /// Calling this symbol would nest deeper than 64 calls: the call
+    /// graph is recursive (or pathologically deep).
+    CallDepthOverflow(String),
     /// An object's `build_tag` names a source tree the engine was not
     /// given: the executable was assembled from builds this engine does
     /// not know about (or the tag itself is corrupt).
@@ -98,6 +106,10 @@ impl std::fmt::Display for RunError {
         match self {
             RunError::Crash(what) => write!(f, "segmentation fault ({what})"),
             RunError::MissingSymbol(s) => write!(f, "undefined symbol `{s}`"),
+            RunError::CallDepthOverflow(s) => write!(
+                f,
+                "call depth exceeds {MAX_CALL_DEPTH} at `{s}` (recursive call graph)"
+            ),
             RunError::CorruptBuildTag { object, tag, trees } => write!(
                 f,
                 "object {object} carries build_tag {tag} but the engine binds {trees} source tree(s)"
@@ -228,9 +240,12 @@ impl<'a> Engine<'a> {
         calls: &mut u64,
         depth: usize,
     ) -> Result<(), RunError> {
-        assert!(depth < 64, "call depth overflow at `{symbol}`");
-        // Structure (files, visibility, call graph) is identical across
-        // trees; resolve it against the baseline tree.
+        if depth >= MAX_CALL_DEPTH {
+            return Err(RunError::CallDepthOverflow(symbol.to_string()));
+        }
+        // Structure (files, visibility, call graph, symbol ids) is
+        // identical across trees; resolve it against the baseline tree.
+        // This is the call's only name lookup.
         let (file_id, func_idx) = self.programs[0]
             .lookup(symbol)
             .ok_or_else(|| RunError::MissingSymbol(symbol.to_string()))?;
@@ -265,7 +280,7 @@ impl<'a> Engine<'a> {
                     }
                     _ => self
                         .exe
-                        .defining_object(symbol)
+                        .defining_object_id(self.programs[0].symbol_id(file_id, func_idx))
                         .ok_or_else(|| RunError::MissingSymbol(symbol.to_string()))?,
                 }
             }
@@ -324,6 +339,7 @@ mod tests {
     use flit_toolchain::compilation::Compilation;
     use flit_toolchain::compiler::{CompilerKind, OptLevel};
     use flit_toolchain::flags::Switch;
+    use std::sync::Arc;
 
     fn program() -> SimProgram {
         SimProgram::new(
@@ -419,6 +435,30 @@ mod tests {
     }
 
     #[test]
+    fn recursive_call_graph_is_a_structured_error() {
+        // `SimProgram::new` accepts cycles; running one must not panic.
+        let p = SimProgram::new(
+            "cycle",
+            vec![SourceFile::new(
+                "ping.cpp",
+                vec![
+                    Function::exported("ping", Kernel::NormScale).with_calls(vec!["pong".into()]),
+                    Function::exported("pong", Kernel::NormScale).with_calls(vec!["ping".into()]),
+                ],
+            )],
+        );
+        let exe = Build::new(&p, Compilation::baseline())
+            .executable()
+            .unwrap();
+        let d = Driver::new("cycle", vec!["ping".into()], 1, 8);
+        let err = Engine::new(&p, &exe).run(&d, &[0.5]).unwrap_err();
+        // Depth 0 is `ping`, so the first call past the limit is the
+        // 65th: `ping` again.
+        assert_eq!(err, RunError::CallDepthOverflow("ping".into()));
+        assert!(err.to_string().contains("`ping`"), "{err}");
+    }
+
+    #[test]
     fn mixed_file_build_takes_env_per_file() {
         // File bisect's Test function: mesh.cpp from the variable
         // compilation, everything else baseline. Only `smooth` (in
@@ -470,7 +510,7 @@ mod tests {
             CompilerKind::Gcc,
         )
         .unwrap();
-        mixed.objects[1].build_tag = 7;
+        Arc::make_mut(&mut mixed.objects[1]).build_tag = 7;
         let err = Engine::with_variant(&p, &p, &mixed)
             .run(&driver(), &[0.5])
             .unwrap_err();

@@ -130,6 +130,11 @@ pub struct SimProgram {
     /// The source files.
     pub files: Vec<SourceFile>,
     index: HashMap<String, (usize, usize)>,
+    /// Symbol id of each file's first function: function `gi` of file
+    /// `fi` has id `first_id[fi] + gi`. Ids are dense, in file order,
+    /// and a pure function of the structure the fingerprint covers, so
+    /// structurally identical programs assign identical ids.
+    first_id: Vec<u32>,
     /// Structural fingerprint: everything object files can depend on
     /// (file names, symbol names, visibility). Function *bodies* are
     /// excluded on purpose — the simulated compiler never encodes them
@@ -146,7 +151,9 @@ impl SimProgram {
     /// symbol, or a `static` function is called from another file.
     pub fn new(name: impl Into<String>, files: Vec<SourceFile>) -> Self {
         let mut index = HashMap::new();
+        let mut first_id = Vec::with_capacity(files.len());
         for (fi, file) in files.iter().enumerate() {
+            first_id.push(index.len() as u32);
             for (gi, f) in file.functions.iter().enumerate() {
                 let prev = index.insert(f.name.clone(), (fi, gi));
                 assert!(prev.is_none(), "duplicate symbol `{}`", f.name);
@@ -167,6 +174,7 @@ impl SimProgram {
             name: name.into(),
             files,
             index,
+            first_id,
             fingerprint: h.finish(),
         };
         // Validate the call graph.
@@ -198,6 +206,12 @@ impl SimProgram {
     /// Look up a symbol: `(file index, function index)`.
     pub fn lookup(&self, symbol: &str) -> Option<(usize, usize)> {
         self.index.get(symbol).copied()
+    }
+
+    /// The dense symbol id of function `func_idx` of file `file_id` (the
+    /// [`SymbolEntry::id`] [`SimProgram::compile_file`] stamps).
+    pub(crate) fn symbol_id(&self, file_id: usize, func_idx: usize) -> u32 {
+        self.first_id[file_id] + func_idx as u32
     }
 
     /// The function for a symbol.
@@ -295,8 +309,10 @@ impl SimProgram {
             symbols: file
                 .functions
                 .iter()
-                .map(|f| SymbolEntry {
+                .enumerate()
+                .map(|(gi, f)| SymbolEntry {
                     name: f.name.clone(),
+                    id: self.symbol_id(file_id, gi),
                     linkage: match f.visibility {
                         Visibility::Exported => Linkage::Strong,
                         Visibility::Static => Linkage::Local,
@@ -307,10 +323,11 @@ impl SimProgram {
     }
 }
 
-// Manual impls: `index` and `fingerprint` are derived state, so the
-// wire carries `{name, files}` only and deserialization rebuilds (and
-// re-validates) through [`SimProgram::new`] — a deserialized program is
-// structurally identical to the original, fingerprint included.
+// Manual impls: `index`, `first_id` and `fingerprint` are derived
+// state, so the wire carries `{name, files}` only and deserialization
+// rebuilds (and re-validates) through [`SimProgram::new`] — a
+// deserialized program is structurally identical to the original,
+// fingerprint and symbol ids included.
 impl Serialize for SimProgram {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
@@ -498,6 +515,24 @@ mod tests {
         assert!(!obj.pic);
         let pic_obj = p.compile_file(0, &comp, true);
         assert!(pic_obj.pic);
+    }
+
+    #[test]
+    fn symbol_ids_are_dense_and_stamped_on_objects() {
+        let p = tiny_program();
+        let ids: Vec<(String, u32)> = (0..p.files.len())
+            .flat_map(|fi| p.compile_file(fi, &Compilation::baseline(), false).symbols)
+            .map(|s| (s.name, s.id))
+            .collect();
+        assert_eq!(
+            ids,
+            vec![
+                ("alpha".to_string(), 0),
+                ("helper".to_string(), 1),
+                ("beta".to_string(), 2)
+            ]
+        );
+        assert_eq!(p.symbol_id(1, 0), 2);
     }
 
     #[test]

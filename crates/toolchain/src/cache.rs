@@ -10,7 +10,9 @@
 //!   `(program fingerprint, file id, compilation, pic, build tag)` —
 //!   everything [`crate::object::ObjectFile`] can depend on (object
 //!   files carry symbol *structure*, never function bodies, so two
-//!   programs with identical structure may share objects); and
+//!   programs with identical structure may share objects). Objects are
+//!   stored as `Arc<ObjectFile>`: a hit is a refcount bump, and every
+//!   executable linked from cached objects shares them; and
 //! * a **link memo** keyed on a recipe digest of the exact object set
 //!   plus the link driver. A memo hit skips the compiles *and* the link.
 //!
@@ -32,6 +34,7 @@
 //! any thread schedule (first requester compiles, later ones hit).
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 use flit_trace::names::counter as counter_names;
@@ -40,7 +43,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::compilation::Compilation;
-use crate::linker::{link, Executable, LinkError};
+use crate::linker::{Executable, LinkError};
 use crate::object::ObjectFile;
 
 /// Everything an [`ObjectFile`] produced by the simulated compiler can
@@ -117,7 +120,7 @@ type LinkResult = Result<Arc<Executable>, LinkError>;
 struct CacheInner {
     /// `false` = counting mode: tally work, never reuse.
     reuse: bool,
-    objects: [Mutex<HashMap<ObjectKey, ObjectFile>>; SHARDS],
+    objects: [Mutex<HashMap<ObjectKey, Arc<ObjectFile>>>; SHARDS],
     links: [Mutex<HashMap<u64, LinkResult>>; SHARDS],
     objects_compiled: Counter,
     object_cache_hits: Counter,
@@ -202,26 +205,31 @@ impl BuildCtx {
     }
 
     /// Produce the object for `key`, compiling with `compile` on a miss.
+    /// A hit returns the cached `Arc` itself, never a copy.
     ///
     /// The key's shard lock is held across the compile so that
     /// concurrent requests for the same key compile exactly once and the
     /// counters stay schedule-independent.
-    pub fn object_with(&self, key: ObjectKey, compile: impl FnOnce() -> ObjectFile) -> ObjectFile {
+    pub fn object_with(
+        &self,
+        key: ObjectKey,
+        compile: impl FnOnce() -> ObjectFile,
+    ) -> Arc<ObjectFile> {
         let Some(inner) = &self.0 else {
-            return compile();
+            return Arc::new(compile());
         };
         if !inner.reuse {
             inner.objects_compiled.incr(1);
-            return compile();
+            return Arc::new(compile());
         }
         let mut objects = inner.objects[object_shard(&key)].lock();
         if let Some(hit) = objects.get(&key) {
             inner.object_cache_hits.incr(1);
-            return hit.clone();
+            return Arc::clone(hit);
         }
         inner.objects_compiled.incr(1);
-        let obj = compile();
-        objects.insert(key, obj.clone());
+        let obj = Arc::new(compile());
+        objects.insert(key, Arc::clone(&obj));
         obj
     }
 
@@ -256,16 +264,6 @@ impl BuildCtx {
         links.insert(digest, result.clone());
         result
     }
-
-    /// Convenience: memoized `link` over already-produced objects.
-    pub fn link_objects(
-        &self,
-        digest: u64,
-        objects: impl FnOnce() -> Vec<ObjectFile>,
-        driver: crate::compiler::CompilerKind,
-    ) -> Result<Arc<Executable>, LinkError> {
-        self.link_with(digest, || link(objects(), driver))
-    }
 }
 
 /// Incremental FNV-1a hasher for building link-recipe digests.
@@ -273,6 +271,11 @@ impl BuildCtx {
 /// Field boundaries are marked with a `0xFF` separator byte (which
 /// cannot appear in the UTF-8 content being hashed), so adjacent fields
 /// cannot alias each other.
+///
+/// The [`fmt::Write`] impl streams formatted text as raw bytes, with no
+/// separator: `write!(h, ...)` mixes exactly the bytes `format!(...)`
+/// would produce, without building the `String`. (The inherent
+/// [`RecipeHasher::write_str`] is the separated *field* form.)
 #[derive(Debug, Clone)]
 pub struct RecipeHasher {
     h: u64,
@@ -313,9 +316,24 @@ impl RecipeHasher {
         self.write(&[0xFF])
     }
 
+    /// Mix a formatted string field (terminated by a separator) without
+    /// allocating: the same digest as `write_str(&format!(...))`.
+    pub fn write_fmt_field(&mut self, args: fmt::Arguments<'_>) -> &mut Self {
+        // Streaming into the digest cannot fail.
+        let _ = fmt::Write::write_fmt(self, args);
+        self.write(&[0xFF])
+    }
+
     /// The digest so far.
     pub fn finish(&self) -> u64 {
         self.h
+    }
+}
+
+impl fmt::Write for RecipeHasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -323,6 +341,7 @@ impl RecipeHasher {
 mod tests {
     use super::*;
     use crate::compiler::{CompilerKind, OptLevel};
+    use crate::linker::link;
     use crate::object::{Linkage, SymbolEntry};
 
     fn key(file_id: usize, pic: bool) -> ObjectKey {
@@ -344,6 +363,7 @@ mod tests {
             build_tag: 0,
             symbols: vec![SymbolEntry {
                 name: format!("sym{file_id}"),
+                id: file_id as u32,
                 linkage: Linkage::Strong,
             }],
         }
@@ -354,7 +374,7 @@ mod tests {
         let ctx = BuildCtx::cached();
         let a = ctx.object_with(key(0, false), || obj(0));
         let b = ctx.object_with(key(0, false), || panic!("must hit the cache"));
-        assert_eq!(a, b);
+        assert!(Arc::ptr_eq(&a, &b), "a hit shares the cached object");
         let s = ctx.stats();
         assert_eq!(s.objects_compiled, 1);
         assert_eq!(s.object_cache_hits, 1);
@@ -404,7 +424,9 @@ mod tests {
     fn link_memo_hits_skip_the_build_entirely() {
         let ctx = BuildCtx::cached();
         let e1 = ctx
-            .link_with(7, || link(vec![obj(0), obj(1)], CompilerKind::Gcc))
+            .link_with(7, || {
+                link(vec![Arc::new(obj(0)), Arc::new(obj(1))], CompilerKind::Gcc)
+            })
             .unwrap();
         let e2 = ctx.link_with(7, || panic!("must hit the memo")).unwrap();
         assert!(Arc::ptr_eq(&e1, &e2));
@@ -457,6 +479,30 @@ mod tests {
             h.finish()
         };
         assert_ne!(c, d);
+    }
+
+    #[test]
+    fn formatted_fields_hash_like_formatted_strings() {
+        use std::fmt::Write as _;
+        let comp = Compilation::new(
+            CompilerKind::Icpc,
+            OptLevel::O3,
+            vec![crate::flags::Switch::Avx2Fma, crate::flags::Switch::Pic],
+        );
+        let mut old = RecipeHasher::new();
+        old.write_str(&comp.label())
+            .write_str(&format!("{:?}", CompilerKind::Gcc));
+        let mut new = RecipeHasher::new();
+        new.write_fmt_field(format_args!("{comp}"))
+            .write_fmt_field(format_args!("{:?}", CompilerKind::Gcc));
+        assert_eq!(old.finish(), new.finish());
+
+        // Unseparated streaming equals FNV-1a of the formatted bytes.
+        let (file_id, pic) = (7, true);
+        let mut streamed = RecipeHasher::new();
+        write!(streamed, "{file_id}:{comp}:{pic};").unwrap();
+        let expected = crate::perf::fnv1a(format!("7:{}:true;", comp.label()).as_bytes());
+        assert_eq!(streamed.finish(), expected);
     }
 
     #[test]

@@ -66,14 +66,10 @@ impl Compilation {
         self.switches.contains(&s)
     }
 
-    /// Human-readable label, e.g. `g++ -O2 -funsafe-math-optimizations`.
+    /// Human-readable label, e.g. `g++ -O2 -funsafe-math-optimizations`
+    /// (the [`fmt::Display`] form, which streams it without allocating).
     pub fn label(&self) -> String {
-        let mut s = format!("{} {}", self.compiler.driver(), self.opt);
-        for sw in &self.switches {
-            s.push(' ');
-            s.push_str(sw.text());
-        }
-        s
+        self.to_string()
     }
 
     /// A copy of this compilation with `-fPIC` added (Symbol Bisect
@@ -280,7 +276,11 @@ impl Compilation {
 
 impl fmt::Display for Compilation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        write!(f, "{} {}", self.compiler.driver(), self.opt)?;
+        for sw in &self.switches {
+            write!(f, " {}", sw.text())?;
+        }
+        Ok(())
     }
 }
 

@@ -15,14 +15,14 @@
 //! ~20 % of the paper's Intel File Bisect runs to end in a segfault.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use flit_fpsim::env::{FpEnv, MathLib};
 
+use crate::cache::RecipeHasher;
 use crate::compiler::CompilerKind;
 use crate::object::{Linkage, ObjectFile};
-use crate::perf::fnv1a;
 
 /// Link-time errors.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,13 +46,20 @@ impl fmt::Display for LinkError {
 
 impl std::error::Error for LinkError {}
 
+/// [`Executable::globals`] entry of a symbol id with no global
+/// definition (local-only, or not in the link at all).
+pub const UNDEFINED: u32 = u32::MAX;
+
 /// A linked executable: object files plus the global symbol resolution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Objects are shared, not copied: an executable linked from cached
+/// objects holds the cache's own `Arc`s.
+#[derive(Debug, Clone)]
 pub struct Executable {
     /// The linked objects, in link order.
-    pub objects: Vec<ObjectFile>,
-    /// Global symbol → index of the defining object.
-    pub globals: HashMap<String, usize>,
+    pub objects: Vec<Arc<ObjectFile>>,
+    /// Symbol id → index of the defining object, or [`UNDEFINED`].
+    pub globals: Vec<u32>,
     /// The compiler driver that performed the link.
     pub driver: CompilerKind,
     /// Math library selected by the link step.
@@ -74,8 +81,7 @@ impl Executable {
     /// The [`FpEnv`] governing the definition of `symbol`, or `None` if
     /// the symbol is not globally defined.
     pub fn env_for(&self, symbol: &str) -> Option<FpEnv> {
-        let &idx = self.globals.get(symbol)?;
-        Some(self.env_of_object(idx))
+        Some(self.env_of_object(self.defining_object(symbol)?))
     }
 
     /// The [`FpEnv`] of object `idx` inside this executable (math
@@ -86,9 +92,25 @@ impl Executable {
         env
     }
 
-    /// Index of the object defining `symbol` globally.
+    /// Index of the object defining `symbol` globally. Finds the
+    /// symbol's id by scanning the objects' symbol tables; hot paths
+    /// that already know the id use [`Executable::defining_object_id`].
     pub fn defining_object(&self, symbol: &str) -> Option<usize> {
-        self.globals.get(symbol).copied()
+        let id = self
+            .objects
+            .iter()
+            .flat_map(|o| &o.symbols)
+            .find(|s| s.name == symbol)?
+            .id;
+        self.defining_object_id(id)
+    }
+
+    /// Index of the object defining symbol id `id` globally.
+    pub fn defining_object_id(&self, id: u32) -> Option<usize> {
+        match self.globals.get(id as usize) {
+            Some(&idx) if idx != UNDEFINED => Some(idx as usize),
+            _ => None,
+        }
     }
 
     /// Deterministic ABI-hazard verdict: does running this executable
@@ -126,50 +148,58 @@ pub fn mixed_abi_hazard(object_compilers: &[CompilerKind], driver: CompilerKind)
 /// compiler that performs the final link (FLiT links mixed bisection
 /// binaries with the baseline's driver and forces a common C++ standard
 /// library — §2.3).
-pub fn link(objects: Vec<ObjectFile>, driver: CompilerKind) -> Result<Executable, LinkError> {
+///
+/// Symbols resolve by [`SymbolEntry::id`](crate::object::SymbolEntry::id)
+/// into tables sized to the largest id + 1, so the objects must carry
+/// the ids of one program (equal names, equal ids).
+pub fn link(objects: Vec<Arc<ObjectFile>>, driver: CompilerKind) -> Result<Executable, LinkError> {
     if objects.is_empty() {
         return Err(LinkError::EmptyLink);
     }
-    let mut globals: HashMap<String, usize> = HashMap::new();
-    let mut strong: HashMap<String, usize> = HashMap::new();
+    let table_len = objects
+        .iter()
+        .flat_map(|o| &o.symbols)
+        .map(|s| s.id as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut globals = vec![UNDEFINED; table_len];
+    let mut strong = vec![false; table_len];
 
     for (idx, obj) in objects.iter().enumerate() {
         for sym in &obj.symbols {
+            let id = sym.id as usize;
             match sym.linkage {
                 Linkage::Local => {}
                 Linkage::Strong => {
-                    if strong.contains_key(&sym.name) {
+                    if strong[id] {
                         return Err(LinkError::DuplicateSymbol(sym.name.clone()));
                     }
-                    strong.insert(sym.name.clone(), idx);
-                    globals.insert(sym.name.clone(), idx);
+                    // Strong definitions override weak ones regardless
+                    // of order.
+                    strong[id] = true;
+                    globals[id] = idx as u32;
                 }
                 Linkage::Weak => {
-                    // First weak wins, but only if no strong definition
-                    // has been (or will be) seen; fix up below.
-                    globals.entry(sym.name.clone()).or_insert(idx);
+                    // First weak wins, unless a strong one is (or will
+                    // be) seen.
+                    if globals[id] == UNDEFINED {
+                        globals[id] = idx as u32;
+                    }
                 }
             }
         }
-    }
-    // Strong definitions override weak ones regardless of order.
-    for (name, idx) in &strong {
-        globals.insert(name.clone(), *idx);
     }
 
     let compilers: Vec<CompilerKind> = objects.iter().map(|o| o.compilation.compiler).collect();
     let abi_hazard = mixed_abi_hazard(&compilers, driver);
 
-    let mut seed_input = String::new();
+    // FNV-1a over "{file_id}:{label}:{pic};" per object, streamed.
+    let mut seed = RecipeHasher::new();
     for o in &objects {
-        seed_input.push_str(&format!(
-            "{}:{}:{};",
-            o.file_id,
-            o.compilation.label(),
-            o.pic
-        ));
+        // Streaming into the digest cannot fail.
+        let _ = write!(seed, "{}:{}:{};", o.file_id, o.compilation, o.pic);
     }
-    let hazard_seed = fnv1a(seed_input.as_bytes());
+    let hazard_seed = seed.finish();
 
     let mathlib = if driver == CompilerKind::Icpc {
         MathLib::Vendor
@@ -195,8 +225,13 @@ mod tests {
     use crate::object::SymbolEntry;
     use std::collections::BTreeSet;
 
-    fn obj(file_id: usize, compiler: CompilerKind, syms: &[(&str, Linkage)]) -> ObjectFile {
-        ObjectFile {
+    /// Symbol ids for the fixtures: one per name, as a program assigns.
+    fn id_of(name: &str) -> u32 {
+        ["f", "g"].iter().position(|n| *n == name).unwrap() as u32
+    }
+
+    fn obj(file_id: usize, compiler: CompilerKind, syms: &[(&str, Linkage)]) -> Arc<ObjectFile> {
+        Arc::new(ObjectFile {
             file_id,
             file_name: format!("file{file_id}.cpp"),
             compilation: Compilation::new(compiler, OptLevel::O2, vec![]),
@@ -206,10 +241,11 @@ mod tests {
                 .iter()
                 .map(|(n, l)| SymbolEntry {
                     name: n.to_string(),
+                    id: id_of(n),
                     linkage: *l,
                 })
                 .collect(),
-        }
+        })
     }
 
     #[test]
@@ -261,6 +297,20 @@ mod tests {
         let exe = link(vec![c], CompilerKind::Gcc).unwrap();
         assert_eq!(exe.defining_object("g"), None);
         assert_eq!(exe.env_for("g"), None);
+    }
+
+    #[test]
+    fn resolution_is_indexed_by_symbol_id() {
+        let a = obj(0, CompilerKind::Gcc, &[("g", Linkage::Weak)]);
+        let b = obj(1, CompilerKind::Gcc, &[("g", Linkage::Strong)]);
+        let exe = link(vec![a, b], CompilerKind::Gcc).unwrap();
+        // Tables span ids 0..=max: `f` (id 0) is absent, `g` (id 1)
+        // resolves to its strong definition.
+        assert_eq!(exe.globals, vec![UNDEFINED, 1]);
+        assert_eq!(exe.defining_object_id(0), None);
+        assert_eq!(exe.defining_object_id(1), Some(1));
+        assert_eq!(exe.defining_object_id(2), None);
+        assert_eq!(exe.defining_object("g"), Some(1));
     }
 
     #[test]
@@ -321,8 +371,8 @@ mod tests {
         );
         let baseline = variable.clone();
         let picked: BTreeSet<String> = ["f".to_string()].into();
-        let var_copy = variable.weaken_except(&picked); // f strong, g weak
-        let base_copy = baseline.weaken(&picked); // f weak, g strong
+        let var_copy = Arc::new(variable.weaken_except(&picked)); // f strong, g weak
+        let base_copy = Arc::new(baseline.weaken(&picked)); // f weak, g strong
         let exe = link(vec![var_copy, base_copy], CompilerKind::Gcc).unwrap();
         assert_eq!(exe.defining_object("f"), Some(0));
         assert_eq!(exe.defining_object("g"), Some(1));

@@ -6,13 +6,12 @@
 //! the other copy. Linking both copies then yields an executable that
 //! takes each function from exactly one of the two compilations.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 use crate::compilation::Compilation;
 
 /// Symbol binding, as in ELF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Linkage {
     /// Globally visible, unique definition required.
     Strong,
@@ -27,17 +26,21 @@ pub enum Linkage {
 }
 
 /// One symbol table entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SymbolEntry {
     /// The (mangled) symbol name.
     pub name: String,
+    /// Dense symbol id, assigned when the program is built. Within one
+    /// link, equal names carry equal ids, so [`crate::linker::link`]
+    /// resolves into tables indexed by id instead of by name.
+    pub id: u32,
     /// Its binding.
     pub linkage: Linkage,
 }
 
 /// A compiled object file: the product of one source file under one
 /// compilation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectFile {
     /// Index of the source file in the program's file list.
     pub file_id: usize,
@@ -127,14 +130,17 @@ mod tests {
             symbols: vec![
                 SymbolEntry {
                     name: "assemble".into(),
+                    id: 0,
                     linkage: Linkage::Strong,
                 },
                 SymbolEntry {
                     name: "dot_kernel".into(),
+                    id: 1,
                     linkage: Linkage::Strong,
                 },
                 SymbolEntry {
                     name: "helper_static".into(),
+                    id: 2,
                     linkage: Linkage::Local,
                 },
             ],

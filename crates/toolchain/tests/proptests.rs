@@ -2,15 +2,16 @@
 //! invariants, objcopy complementarity, semantics determinism, and the
 //! performance model's sanity envelope.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use flit_toolchain::compilation::{mfem_matrix, Compilation};
 use flit_toolchain::compiler::{CompilerKind, OptLevel};
-use flit_toolchain::linker::{link, LinkError};
+use flit_toolchain::linker::{self, Executable, LinkError};
 use flit_toolchain::object::{Linkage, ObjectFile, SymbolEntry};
-use flit_toolchain::perf::{jitter, speed_factor, KernelClass};
+use flit_toolchain::perf::{fnv1a, jitter, speed_factor, KernelClass};
 
 fn object(file_id: usize, compiler: CompilerKind, symbols: Vec<SymbolEntry>) -> ObjectFile {
     ObjectFile {
@@ -23,9 +24,56 @@ fn object(file_id: usize, compiler: CompilerKind, symbols: Vec<SymbolEntry>) -> 
     }
 }
 
+/// A symbol with a placeholder id; [`link`] stamps the real ones.
 fn sym(name: String, linkage: Linkage) -> SymbolEntry {
-    SymbolEntry { name, linkage }
+    SymbolEntry {
+        name,
+        id: 0,
+        linkage,
+    }
 }
+
+/// Stamp dense ids the way a program does (equal names, equal ids, in
+/// first-seen order) and link.
+fn link(mut objects: Vec<ObjectFile>, driver: CompilerKind) -> Result<Executable, LinkError> {
+    let mut ids: HashMap<String, u32> = HashMap::new();
+    for sym in objects.iter_mut().flat_map(|o| &mut o.symbols) {
+        let next = ids.len() as u32;
+        sym.id = *ids.entry(sym.name.clone()).or_insert(next);
+    }
+    linker::link(objects.into_iter().map(Arc::new).collect(), driver)
+}
+
+/// The name-keyed resolver `link` used before symbol ids: the reference
+/// the id-indexed tables must agree with. `Err` names the duplicate.
+fn reference_resolve(objects: &[ObjectFile]) -> Result<HashMap<String, usize>, String> {
+    let mut globals: HashMap<String, usize> = HashMap::new();
+    let mut strong: HashMap<String, usize> = HashMap::new();
+    for (idx, obj) in objects.iter().enumerate() {
+        for sym in &obj.symbols {
+            match sym.linkage {
+                Linkage::Local => {}
+                Linkage::Strong => {
+                    if strong.contains_key(&sym.name) {
+                        return Err(sym.name.clone());
+                    }
+                    strong.insert(sym.name.clone(), idx);
+                    globals.insert(sym.name.clone(), idx);
+                }
+                Linkage::Weak => {
+                    globals.entry(sym.name.clone()).or_insert(idx);
+                }
+            }
+        }
+    }
+    for (name, idx) in &strong {
+        globals.insert(name.clone(), *idx);
+    }
+    Ok(globals)
+}
+
+/// Names drawn by the resolver property: few, so they collide.
+const NAMES: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
 
 proptest! {
     /// objcopy complementarity: weakening S in one copy and ¬S in the
@@ -141,6 +189,68 @@ proptest! {
         prop_assert_eq!(exe.crashes(salt), exe.crashes(salt));
         if !mixed {
             prop_assert!(!exe.crashes(salt));
+        }
+    }
+
+    /// The id-indexed resolution equals the name-keyed reference on
+    /// random object lists: duplicate strong symbols, weak before
+    /// strong, locals, and one name defined in several objects. The
+    /// hazard seed is FNV-1a of the per-object
+    /// `"{file_id}:{label}:{pic};"` string, bit for bit.
+    #[test]
+    fn id_link_matches_the_name_keyed_reference(
+        specs in prop::collection::vec(
+            (
+                0usize..244,
+                any::<bool>(),
+                0usize..8,
+                prop::collection::vec((0usize..6, 0u8..5), 0..6),
+            ),
+            1..6,
+        ),
+    ) {
+        let matrix = mfem_matrix();
+        let objects: Vec<ObjectFile> = specs
+            .iter()
+            .map(|(comp, pic, file_id, syms)| {
+                let mut o = object(
+                    *file_id,
+                    CompilerKind::Gcc,
+                    syms.iter()
+                        .map(|&(n, l)| {
+                            // Strong is one draw in five, so both the
+                            // error and the success path are common.
+                            let linkage = match l {
+                                0 => Linkage::Strong,
+                                1 | 2 => Linkage::Weak,
+                                _ => Linkage::Local,
+                            };
+                            sym(NAMES[n].to_string(), linkage)
+                        })
+                        .collect(),
+                );
+                o.compilation = if *pic { matrix[*comp].with_pic() } else { matrix[*comp].clone() };
+                o.pic = *pic;
+                o
+            })
+            .collect();
+        let reference = reference_resolve(&objects);
+        let linked = link(objects.clone(), CompilerKind::Gcc);
+        match (reference, linked) {
+            (Err(dup), Err(LinkError::DuplicateSymbol(name))) => prop_assert_eq!(dup, name),
+            (Ok(globals), Ok(exe)) => {
+                for name in NAMES {
+                    prop_assert_eq!(exe.defining_object(name), globals.get(name).copied(), "{}", name);
+                }
+                let mut seed_input = String::new();
+                for o in &objects {
+                    seed_input.push_str(&format!("{}:{}:{};", o.file_id, o.compilation.label(), o.pic));
+                }
+                prop_assert_eq!(exe.hazard_seed, fnv1a(seed_input.as_bytes()));
+            }
+            (reference, linked) => {
+                prop_assert!(false, "reference {:?} vs link {:?}", reference, linked.map(|e| e.globals));
+            }
         }
     }
 

@@ -14,6 +14,8 @@ if [[ "${1:-}" == "--quick" ]]; then
   cargo test -q --test jobs_determinism
   echo "== quick: golden File -> Symbol fixtures (recorded results + width-1 trace) =="
   cargo test -q --test golden_hierarchy
+  echo "== quick: link resolution + engine binding (flit-toolchain, flit-program) =="
+  cargo test -q -p flit-toolchain -p flit-program
   echo "== quick: static prescreen (flit-lint unit + soundness suite) =="
   cargo test -q -p flit-lint
   cargo test -q --test lint_soundness
