@@ -70,4 +70,7 @@ pub use perf::{
 };
 pub use planner::{BisectPlan, PlanFailure, PlanOutcome, PlanStep, Query, SearchMode};
 pub use test_fn::{MemoTest, TestError, TestFn};
-pub use wire::{evaluate, ExeRecipe, LocalPlane, QueryPlane, RemotePlane, WireRequest, WireTask};
+pub use wire::{
+    evaluate, ExeRecipe, LocalPlane, ProgramMiss, ProgramSlot, QueryPlane, RemotePlane,
+    WireRequest, WireTask,
+};

@@ -22,6 +22,20 @@
 //!   checkpoint-journal answer schema ([`JournalAnswer`] doubles as
 //!   the wire answer format).
 //!
+//! ## Programs travel once per worker
+//!
+//! A program is by far the largest part of a task (about 0.5 MB for
+//! MFEM), and every search of a workflow runs the same one. So a
+//! [`RemotePlane`] task names its programs by content digest
+//! ([`ProgramSlot::Ref`]) and carries only the search's own context.
+//! A worker keeps a process-wide program table; a reference it cannot
+//! resolve is answered with a [`ProgramMiss`], and the plane re-sends
+//! the same query with a self-contained task (each distinct program
+//! [`ProgramSlot::Inline`] once, built once per search), whose
+//! programs the worker interns. The miss travels through the same
+//! [`ExecBackend::dispatch`] as every query, so any forwarding backend
+//! carries it unchanged.
+//!
 //! The worker half is [`evaluate`]: given a task digest, a serialized
 //! task body, and a serialized request, produce a serialized answer.
 //! `flit worker` plugs this into `flit_exec::serve_worker`.
@@ -92,17 +106,33 @@ pub enum WireRequest {
     },
 }
 
+/// How a task carries one program.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum ProgramSlot {
+    /// The whole program: the task is self-contained.
+    Inline {
+        /// The program.
+        program: SimProgram,
+    },
+    /// A program the worker interned earlier, named by its
+    /// [`SimProgram::content_digest`].
+    Ref {
+        /// The program's content digest.
+        digest: String,
+    },
+}
+
 /// Everything a worker needs to evaluate queries for one search:
-/// both program structures, both compilations (with build tags), the
-/// driver, the input (bit-exact), and the link driver. Registered once
-/// per (worker, task digest); queries reference the digest only.
+/// both programs, both compilations (with build tags), the driver, the
+/// input (bit-exact), and the link driver. Registered once per
+/// (worker, task digest); queries reference the digest only.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireTask {
-    /// The baseline program structure.
-    pub baseline_program: SimProgram,
-    /// The variable program structure (differs from the baseline in
-    /// the injection studies; usually identical).
-    pub variable_program: SimProgram,
+    /// The baseline program.
+    pub baseline_program: ProgramSlot,
+    /// The variable program (differs from the baseline in the
+    /// injection studies; usually identical).
+    pub variable_program: ProgramSlot,
     /// The baseline compilation.
     pub baseline_compilation: Compilation,
     /// The variable compilation.
@@ -120,7 +150,8 @@ pub struct WireTask {
 }
 
 impl WireTask {
-    /// Capture a search task from its in-process pieces.
+    /// Capture a self-contained search task from its in-process pieces:
+    /// both programs travel inline.
     pub fn capture(
         baseline: &Build,
         variable: &Build,
@@ -128,9 +159,39 @@ impl WireTask {
         input: &[f64],
         link_driver: CompilerKind,
     ) -> Self {
+        let inline = |b: &Build| ProgramSlot::Inline {
+            program: b.program.clone(),
+        };
+        Self::with_slots(baseline, variable, driver, input, link_driver, inline)
+    }
+
+    /// Capture a search task whose programs travel by content digest
+    /// (a few hundred bytes, whatever the program size). A worker
+    /// evaluates it only once it has interned both programs.
+    pub fn capture_refs(
+        baseline: &Build,
+        variable: &Build,
+        driver: &Driver,
+        input: &[f64],
+        link_driver: CompilerKind,
+    ) -> Self {
+        let by_ref = |b: &Build| ProgramSlot::Ref {
+            digest: b.program.content_digest().to_string(),
+        };
+        Self::with_slots(baseline, variable, driver, input, link_driver, by_ref)
+    }
+
+    fn with_slots(
+        baseline: &Build,
+        variable: &Build,
+        driver: &Driver,
+        input: &[f64],
+        link_driver: CompilerKind,
+        slot: impl Fn(&Build) -> ProgramSlot,
+    ) -> Self {
         WireTask {
-            baseline_program: baseline.program.clone(),
-            variable_program: variable.program.clone(),
+            baseline_program: slot(baseline),
+            variable_program: slot(variable),
             baseline_compilation: baseline.compilation.clone(),
             variable_compilation: variable.compilation.clone(),
             baseline_tag: baseline.tag,
@@ -152,6 +213,38 @@ impl WireTask {
         h.write_str(body);
         format!("{:016x}", h.finish())
     }
+}
+
+/// A serialized task and its digest: what a [`QueryEnvelope`] carries.
+struct EncodedTask {
+    digest: String,
+    body: String,
+}
+
+impl EncodedTask {
+    fn new(task: &WireTask) -> Self {
+        let body = task.to_wire();
+        EncodedTask {
+            digest: WireTask::digest_of(&body),
+            body,
+        }
+    }
+}
+
+/// A worker's answer to a task naming programs its table lacks. Not a
+/// [`JournalAnswer`]: it never reaches the ledger or a journal; the
+/// coordinator answers it by re-sending the query with the
+/// self-contained task.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ProgramMiss {
+    /// Content digests of the programs the worker has not interned.
+    pub missing: Vec<String>,
+}
+
+/// What a worker answers: a journal answer, or a program miss.
+enum Reply {
+    Answer(JournalAnswer),
+    Miss(ProgramMiss),
 }
 
 /// Where a search's Test queries evaluate. Both methods take the
@@ -327,53 +420,99 @@ fn decode_answer(answer: JournalAnswer) -> Result<(Vec<f64>, f64), TestError> {
 
 /// Evaluation through a remote [`ExecBackend`]: the task is serialized
 /// once, each query ships as an envelope, and answers decode from the
-/// journal answer schema. Backend transport failures (a query that
-/// exhausted its retry budget) surface as `TestError::Crash` with the
-/// structured backend message, which aborts the search the same way a
-/// crashed mixed executable does.
-pub struct RemotePlane {
+/// journal answer schema. Programs travel by content digest; a worker
+/// that lacks one answers with a [`ProgramMiss`], and the query is sent
+/// again with the self-contained task, built on the first miss. Backend
+/// transport failures (a query that exhausted its retry budget)
+/// surface as `TestError::Crash` with the structured backend message,
+/// which aborts the search the same way a crashed mixed executable
+/// does.
+pub struct RemotePlane<'a> {
     backend: Arc<dyn ExecBackend>,
-    digest: String,
-    task: String,
+    baseline: &'a SimProgram,
+    variable: &'a SimProgram,
+    /// The by-reference task; `by_ref` is its encoding.
+    task: WireTask,
+    by_ref: EncodedTask,
+    inline: OnceLock<EncodedTask>,
 }
 
-impl RemotePlane {
-    /// Capture and serialize the search task for `backend`.
+impl<'a> RemotePlane<'a> {
+    /// Capture and serialize the by-reference search task for
+    /// `backend`.
     pub fn new(
         backend: Arc<dyn ExecBackend>,
-        baseline: &Build,
-        variable: &Build,
-        driver: &Driver,
-        input: &[f64],
+        baseline: &'a Build<'a>,
+        variable: &'a Build<'a>,
+        driver: &'a Driver,
+        input: &'a [f64],
         link_driver: CompilerKind,
     ) -> Self {
-        let task = WireTask::capture(baseline, variable, driver, input, link_driver).to_wire();
-        let digest = WireTask::digest_of(&task);
+        let task = WireTask::capture_refs(baseline, variable, driver, input, link_driver);
         RemotePlane {
             backend,
-            digest,
+            baseline: baseline.program,
+            variable: variable.program,
+            by_ref: EncodedTask::new(&task),
             task,
+            inline: OnceLock::new(),
         }
     }
 
-    fn dispatch(&self, request: &WireRequest) -> Result<(Vec<f64>, f64), TestError> {
-        let spec = serde_json::to_string(request).expect("wire request serializes");
+    /// The task a miss is answered with: each distinct program travels
+    /// inline once. A variable program equal to the baseline stays a
+    /// reference, which the worker resolves against the baseline it
+    /// interns first.
+    fn self_contained_task(&self) -> WireTask {
+        let mut task = self.task.clone();
+        task.baseline_program = ProgramSlot::Inline {
+            program: self.baseline.clone(),
+        };
+        if self.variable.content_digest() != self.baseline.content_digest() {
+            task.variable_program = ProgramSlot::Inline {
+                program: self.variable.clone(),
+            };
+        }
+        task
+    }
+
+    fn send(&self, task: &EncodedTask, spec: &str) -> Result<Reply, TestError> {
         let envelope = QueryEnvelope {
-            task_digest: self.digest.clone(),
-            task: self.task.clone(),
-            spec,
+            task_digest: task.digest.clone(),
+            task: task.body.clone(),
+            spec: spec.to_string(),
         };
         let answer = self.backend.dispatch(&envelope).map_err(|e| match e {
             ExecError::Backend { message } => TestError::Crash(message),
             other => TestError::Crash(other.to_string()),
         })?;
-        let decoded: JournalAnswer = serde_json::from_str(&answer.payload)
-            .map_err(|e| TestError::Crash(format!("unparseable wire answer: {e}")))?;
-        decode_answer(decoded)
+        if let Ok(answer) = serde_json::from_str(&answer.payload) {
+            return Ok(Reply::Answer(answer));
+        }
+        serde_json::from_str(&answer.payload)
+            .map(Reply::Miss)
+            .map_err(|e| TestError::Crash(format!("unparseable wire answer: {e}")))
+    }
+
+    fn dispatch(&self, request: &WireRequest) -> Result<(Vec<f64>, f64), TestError> {
+        let spec = serde_json::to_string(request).expect("wire request serializes");
+        if let Reply::Answer(answer) = self.send(&self.by_ref, &spec)? {
+            return decode_answer(answer);
+        }
+        let inline = self
+            .inline
+            .get_or_init(|| EncodedTask::new(&self.self_contained_task()));
+        match self.send(inline, &spec)? {
+            Reply::Answer(answer) => decode_answer(answer),
+            Reply::Miss(miss) => Err(TestError::Crash(format!(
+                "worker reported programs {:?} missing from a self-contained task",
+                miss.missing
+            ))),
+        }
     }
 }
 
-impl QueryPlane for RemotePlane {
+impl QueryPlane for RemotePlane<'_> {
     fn run_recipe(&self, recipe: &ExeRecipe) -> Result<(Vec<f64>, f64), TestError> {
         self.dispatch(&WireRequest::Run {
             recipe: recipe.clone(),
@@ -395,76 +534,139 @@ impl QueryPlane for RemotePlane {
     }
 }
 
-/// Worker-side task cache: deserialized tasks keyed by digest, plus
-/// one process-wide build cache so a worker amortizes object files and
-/// links across queries exactly like the coordinator would.
+/// A task as a worker holds it: the programs are shared entries of the
+/// program table, and `task`'s slots are references.
 struct WorkerTask {
+    baseline: Arc<SimProgram>,
+    variable: Arc<SimProgram>,
     task: WireTask,
     input: Vec<f64>,
 }
 
+/// Worker-side task cache: parsed tasks keyed by task digest.
 fn worker_tasks() -> &'static Mutex<HashMap<String, Arc<WorkerTask>>> {
     static TASKS: OnceLock<Mutex<HashMap<String, Arc<WorkerTask>>>> = OnceLock::new();
     TASKS.get_or_init(Default::default)
 }
 
+/// Worker-side program table: every program this process has seen,
+/// keyed by the content digest it computed itself.
+fn worker_programs() -> &'static Mutex<HashMap<String, Arc<SimProgram>>> {
+    static PROGRAMS: OnceLock<Mutex<HashMap<String, Arc<SimProgram>>>> = OnceLock::new();
+    PROGRAMS.get_or_init(Default::default)
+}
+
+/// One process-wide build cache, so a worker amortizes object files and
+/// links across queries exactly like the coordinator would.
 fn worker_ctx() -> &'static BuildCtx {
     static CTX: OnceLock<BuildCtx> = OnceLock::new();
     CTX.get_or_init(BuildCtx::cached)
 }
 
-/// The worker half: evaluate one serialized request against a
-/// serialized task, returning the serialized answer payload. Errors
-/// (malformed task or request) are encoded as `Crash` answers rather
-/// than killing the worker — a malformed frame is a protocol bug the
-/// coordinator should see as a structured search abort, not a hang.
-pub fn evaluate(digest: &str, task_body: &str, spec: &str) -> String {
-    let answer = evaluate_inner(digest, task_body, spec);
-    serde_json::to_string(&answer).expect("wire answer serializes")
+/// Resolve a slot against the program table, leaving a reference in
+/// its place: an inline program is interned (or, when the table holds
+/// it already, dropped for the shared copy); a reference the table
+/// lacks is `Err(digest)`.
+fn intern(slot: &mut ProgramSlot) -> Result<Arc<SimProgram>, String> {
+    let digest = match slot {
+        ProgramSlot::Inline { program } => program.content_digest().to_string(),
+        ProgramSlot::Ref { digest } => digest.clone(),
+    };
+    let taken = std::mem::replace(
+        slot,
+        ProgramSlot::Ref {
+            digest: digest.clone(),
+        },
+    );
+    let mut table = worker_programs().lock().expect("program table poisoned");
+    match taken {
+        ProgramSlot::Inline { program } => Ok(Arc::clone(
+            table.entry(digest).or_insert_with(|| Arc::new(program)),
+        )),
+        ProgramSlot::Ref { .. } => table.get(&digest).cloned().ok_or(digest),
+    }
 }
 
-fn evaluate_inner(digest: &str, task_body: &str, spec: &str) -> JournalAnswer {
-    let cached = {
-        let mut tasks = worker_tasks().lock().expect("worker task cache poisoned");
-        match tasks.get(digest) {
-            Some(t) => Arc::clone(t),
-            None => {
-                let task: WireTask = match serde_json::from_str(task_body) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        return JournalAnswer::Crash {
-                            message: format!("worker cannot parse task {digest}: {e}"),
-                        }
-                    }
-                };
-                let input = task
-                    .input_bits
-                    .iter()
-                    .copied()
-                    .map(f64::from_bits)
-                    .collect();
-                let t = Arc::new(WorkerTask { task, input });
-                tasks.insert(digest.to_string(), Arc::clone(&t));
-                t
-            }
+/// Parse a task body and resolve both programs; a miss names every
+/// program the table lacks. The baseline interns first, so the
+/// variable slot may reference it.
+fn parse_task(digest: &str, body: &str) -> Result<WorkerTask, Reply> {
+    let mut task: WireTask = serde_json::from_str(body).map_err(|e| {
+        Reply::Answer(JournalAnswer::Crash {
+            message: format!("worker cannot parse task {digest}: {e}"),
+        })
+    })?;
+    let baseline = intern(&mut task.baseline_program);
+    let variable = intern(&mut task.variable_program);
+    match (baseline, variable) {
+        (Ok(baseline), Ok(variable)) => Ok(WorkerTask {
+            baseline,
+            variable,
+            input: task
+                .input_bits
+                .iter()
+                .copied()
+                .map(f64::from_bits)
+                .collect(),
+            task,
+        }),
+        (b, v) => Err(Reply::Miss(ProgramMiss {
+            missing: [b.err(), v.err()].into_iter().flatten().collect(),
+        })),
+    }
+}
+
+/// The worker half: evaluate one serialized request against a
+/// serialized task, returning the serialized answer payload — a
+/// [`JournalAnswer`], or a [`ProgramMiss`] when the task references a
+/// program this process has not interned. Errors (malformed task or
+/// request) are encoded as `Crash` answers rather than killing the
+/// worker — a malformed frame is a protocol bug the coordinator should
+/// see as a structured search abort, not a hang.
+pub fn evaluate(digest: &str, task_body: &str, spec: &str) -> String {
+    match evaluate_inner(digest, task_body, spec) {
+        Reply::Answer(answer) => serde_json::to_string(&answer),
+        Reply::Miss(miss) => serde_json::to_string(&miss),
+    }
+    .expect("wire answer serializes")
+}
+
+fn evaluate_inner(digest: &str, task_body: &str, spec: &str) -> Reply {
+    let cached = worker_tasks()
+        .lock()
+        .expect("worker task cache poisoned")
+        .get(digest)
+        .cloned();
+    let cached = match cached {
+        Some(t) => t,
+        None => {
+            let t = match parse_task(digest, task_body) {
+                Ok(t) => Arc::new(t),
+                Err(answer) => return answer,
+            };
+            worker_tasks()
+                .lock()
+                .expect("worker task cache poisoned")
+                .insert(digest.to_string(), Arc::clone(&t));
+            t
         }
     };
     let request: WireRequest = match serde_json::from_str(spec) {
         Ok(r) => r,
         Err(e) => {
-            return JournalAnswer::Crash {
+            return Reply::Answer(JournalAnswer::Crash {
                 message: format!("worker cannot parse request: {e}"),
-            }
+            })
         }
     };
     let t = &cached.task;
     let baseline = Build::tagged(
-        &t.baseline_program,
+        &cached.baseline,
         t.baseline_compilation.clone(),
         t.baseline_tag,
     );
     let variable = Build::tagged(
-        &t.variable_program,
+        &cached.variable,
         t.variable_compilation.clone(),
         t.variable_tag,
     );
@@ -476,7 +678,7 @@ fn evaluate_inner(digest: &str, task_body: &str, spec: &str) -> JournalAnswer {
         link_driver: t.link_driver,
         ctx: worker_ctx(),
     };
-    match request {
+    Reply::Answer(match request {
         WireRequest::Run { recipe } => encode_answer(plane.run_recipe(&recipe)),
         WireRequest::Time {
             recipe,
@@ -487,13 +689,15 @@ fn evaluate_inner(digest: &str, task_body: &str, spec: &str) -> JournalAnswer {
                 .time_recipe(&recipe, seed, samples)
                 .map(|s| (s, 0.0f64)),
         ),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flit_exec::AnswerEnvelope;
     use flit_program::{Function, Kernel, SourceFile};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn unsafe_gcc() -> Compilation {
         use flit_toolchain::compiler::OptLevel;
@@ -501,9 +705,12 @@ mod tests {
         Compilation::new(CompilerKind::Gcc, OptLevel::O3, vec![Switch::Avx2FmaUnsafe])
     }
 
-    fn tiny_program() -> SimProgram {
+    /// A small program. The worker program table is process-global, so
+    /// a test that needs a table without this program uses a name no
+    /// other test uses (the name is part of the content digest).
+    fn program(name: &str) -> SimProgram {
         SimProgram::new(
-            "wire-test",
+            name,
             vec![
                 SourceFile::new(
                     "a.cpp",
@@ -517,8 +724,53 @@ mod tests {
         )
     }
 
+    fn tiny_program() -> SimProgram {
+        program("wire-test")
+    }
+
     fn driver() -> Driver {
         Driver::new("t", vec!["A_dot".into(), "B_norm".into()], 2, 24)
+    }
+
+    fn run_spec(recipe: ExeRecipe) -> String {
+        serde_json::to_string(&WireRequest::Run { recipe }).unwrap()
+    }
+
+    fn worker_reply(task: &WireTask, spec: &str) -> String {
+        let body = task.to_wire();
+        evaluate(&WireTask::digest_of(&body), &body, spec)
+    }
+
+    /// An in-process backend answering through [`evaluate`] (or with a
+    /// canned payload), counting dispatches.
+    #[derive(Debug, Default)]
+    struct InProcess {
+        dispatched: AtomicUsize,
+        canned: Option<String>,
+    }
+
+    impl ExecBackend for InProcess {
+        fn label(&self) -> &str {
+            "in-process"
+        }
+
+        fn workers(&self) -> usize {
+            1
+        }
+
+        fn run_units(&self, units: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), ExecError> {
+            (0..units).for_each(f);
+            Ok(())
+        }
+
+        fn dispatch(&self, query: &QueryEnvelope) -> Result<AnswerEnvelope, ExecError> {
+            self.dispatched.fetch_add(1, Ordering::Relaxed);
+            let payload = match &self.canned {
+                Some(p) => p.clone(),
+                None => evaluate(&query.task_digest, &query.task, &query.spec),
+            };
+            Ok(AnswerEnvelope { payload })
+        }
     }
 
     #[test]
@@ -531,11 +783,22 @@ mod tests {
         let wire = task.to_wire();
         let back: WireTask = serde_json::from_str(&wire).unwrap();
         assert_eq!(back.input_bits, task.input_bits);
-        assert_eq!(back.baseline_program.fingerprint(), prog.fingerprint());
+        let ProgramSlot::Inline { program } = &back.baseline_program else {
+            panic!("capture carries programs inline");
+        };
+        assert_eq!(program.fingerprint(), prog.fingerprint());
+        assert_eq!(program.content_digest(), prog.content_digest());
         assert_eq!(back.variable_compilation, task.variable_compilation);
         assert_eq!(back.variable_tag, 1);
         // Digest is a pure function of the body.
         assert_eq!(WireTask::digest_of(&wire), WireTask::digest_of(&wire));
+        // The by-reference task names the programs by content digest.
+        let refs =
+            WireTask::capture_refs(&baseline, &variable, &driver(), &input, CompilerKind::Gcc);
+        let back: WireTask = serde_json::from_str(&refs.to_wire()).unwrap();
+        assert!(
+            matches!(&back.variable_program, ProgramSlot::Ref { digest } if digest == prog.content_digest())
+        );
     }
 
     #[test]
@@ -554,9 +817,8 @@ mod tests {
             link_driver: CompilerKind::Gcc,
             ctx: &ctx,
         };
-        let task = WireTask::capture(&baseline, &variable, &d, &input, CompilerKind::Gcc);
-        let body = task.to_wire();
-        let digest = WireTask::digest_of(&body);
+        let inline = WireTask::capture(&baseline, &variable, &d, &input, CompilerKind::Gcc);
+        let by_ref = WireTask::capture_refs(&baseline, &variable, &d, &input, CompilerKind::Gcc);
         for recipe in [
             ExeRecipe::Baseline,
             ExeRecipe::Candidate,
@@ -567,33 +829,127 @@ mod tests {
                 items: vec!["A_dot".into()],
             },
         ] {
-            let local = plane.run_recipe(&recipe);
-            let spec = serde_json::to_string(&WireRequest::Run {
-                recipe: recipe.clone(),
-            })
-            .unwrap();
-            let remote: JournalAnswer =
-                serde_json::from_str(&evaluate(&digest, &body, &spec)).unwrap();
-            assert_eq!(
-                encode_answer(local),
-                remote,
-                "recipe {recipe:?} diverged between local and worker evaluation"
-            );
-            let timed = plane.time_recipe(&recipe, 42, 4);
-            let spec = serde_json::to_string(&WireRequest::Time {
+            let local = encode_answer(plane.run_recipe(&recipe));
+            let spec = run_spec(recipe.clone());
+            let time_spec = serde_json::to_string(&WireRequest::Time {
                 recipe: recipe.clone(),
                 seed: 42,
                 samples: 4,
             })
             .unwrap();
-            let remote: JournalAnswer =
-                serde_json::from_str(&evaluate(&digest, &body, &spec)).unwrap();
-            assert_eq!(
-                encode_answer(timed.map(|s| (s, 0.0))),
-                remote,
-                "timed recipe {recipe:?} diverged"
-            );
+            let timed = encode_answer(plane.time_recipe(&recipe, 42, 4).map(|s| (s, 0.0)));
+            // The inline task goes first, so the by-reference task
+            // always resolves against the interned programs.
+            for task in [&inline, &by_ref] {
+                let remote: JournalAnswer =
+                    serde_json::from_str(&worker_reply(task, &spec)).unwrap();
+                assert_eq!(
+                    local, remote,
+                    "recipe {recipe:?} diverged between local and worker evaluation"
+                );
+                let remote: JournalAnswer =
+                    serde_json::from_str(&worker_reply(task, &time_spec)).unwrap();
+                assert_eq!(timed, remote, "timed recipe {recipe:?} diverged");
+            }
         }
+    }
+
+    #[test]
+    fn a_reference_misses_until_the_inline_task_interns_the_program() {
+        let prog = program("wire-test-fresh-table");
+        let baseline = Build::new(&prog, Compilation::baseline());
+        let variable = Build::tagged(&prog, unsafe_gcc(), 1);
+        let d = driver();
+        let input = [0.4, 0.1];
+        let by_ref = WireTask::capture_refs(&baseline, &variable, &d, &input, CompilerKind::Gcc);
+        let inline = WireTask::capture(&baseline, &variable, &d, &input, CompilerKind::Gcc);
+        let spec = run_spec(ExeRecipe::Candidate);
+
+        let miss: ProgramMiss = serde_json::from_str(&worker_reply(&by_ref, &spec)).unwrap();
+        assert_eq!(
+            miss.missing,
+            vec![prog.content_digest().to_string(); 2],
+            "both slots name the unseen program"
+        );
+        let answer: JournalAnswer = serde_json::from_str(&worker_reply(&inline, &spec)).unwrap();
+        assert!(matches!(answer, JournalAnswer::Output { .. }), "{answer:?}");
+        assert!(worker_programs()
+            .lock()
+            .unwrap()
+            .contains_key(prog.content_digest()));
+        let resolved: JournalAnswer = serde_json::from_str(&worker_reply(&by_ref, &spec)).unwrap();
+        assert_eq!(resolved, answer);
+    }
+
+    #[test]
+    fn a_remote_plane_pulls_each_program_once_and_agrees_with_local() {
+        let prog = program("wire-test-remote-plane");
+        let mut injected = prog.clone();
+        injected.function_mut("B_norm").unwrap().kernel = Kernel::DivScan;
+        let d = driver();
+        let input = [0.2, 0.9];
+        let ctx = BuildCtx::cached();
+        // The variable program is new to the table in each round: the
+        // shared program first, then an injected copy.
+        for variable_program in [&prog, &injected] {
+            let baseline = Build::new(&prog, Compilation::baseline());
+            let variable = Build::tagged(variable_program, unsafe_gcc(), 1);
+            let local = LocalPlane {
+                baseline: &baseline,
+                variable: &variable,
+                driver: &d,
+                input: &input,
+                link_driver: CompilerKind::Gcc,
+                ctx: &ctx,
+            };
+            let backend = Arc::new(InProcess::default());
+            let remote = RemotePlane::new(
+                backend.clone(),
+                &baseline,
+                &variable,
+                &d,
+                &input,
+                CompilerKind::Gcc,
+            );
+            let recipe = ExeRecipe::FileMixed { items: vec![1] };
+            assert_eq!(remote.run_recipe(&recipe), local.run_recipe(&recipe));
+            // One miss, then the self-contained retry.
+            assert_eq!(backend.dispatched.load(Ordering::Relaxed), 2);
+            assert_eq!(
+                remote.time_recipe(&recipe, 3, 5),
+                local.time_recipe(&recipe, 3, 5)
+            );
+            assert_eq!(backend.dispatched.load(Ordering::Relaxed), 3);
+        }
+    }
+
+    #[test]
+    fn a_miss_on_the_inline_retry_is_a_crash_not_a_loop() {
+        let prog = tiny_program();
+        let baseline = Build::new(&prog, Compilation::baseline());
+        let variable = Build::tagged(&prog, unsafe_gcc(), 1);
+        let d = driver();
+        let miss = ProgramMiss {
+            missing: vec!["feedfacefeedface".into()],
+        };
+        let backend = Arc::new(InProcess {
+            dispatched: AtomicUsize::new(0),
+            canned: Some(serde_json::to_string(&miss).unwrap()),
+        });
+        let remote = RemotePlane::new(
+            backend.clone(),
+            &baseline,
+            &variable,
+            &d,
+            &[0.5],
+            CompilerKind::Gcc,
+        );
+        let err = remote.run_recipe(&ExeRecipe::Baseline).unwrap_err();
+        assert!(
+            matches!(&err, TestError::Crash(m) if m.contains("feedfacefeedface")),
+            "{err:?}"
+        );
+        assert_eq!(backend.dispatched.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -607,9 +963,7 @@ mod tests {
         let baseline = Build::new(&prog, Compilation::baseline());
         let variable = Build::tagged(&prog, unsafe_gcc(), 1);
         let task = WireTask::capture(&baseline, &variable, &driver(), &[0.1], CompilerKind::Gcc);
-        let body = task.to_wire();
-        let ans: JournalAnswer =
-            serde_json::from_str(&evaluate(&WireTask::digest_of(&body), &body, "garbage")).unwrap();
+        let ans: JournalAnswer = serde_json::from_str(&worker_reply(&task, "garbage")).unwrap();
         assert!(
             matches!(&ans, JournalAnswer::Crash { message } if message.contains("cannot parse request")),
             "{ans:?}"

@@ -7,6 +7,8 @@
 //! bodies) under their digests, then streams Test/Time queries;
 //! answers use the checkpoint-journal record schema, so the
 //! coordinator's ledger cannot tell a worker answer from a local one.
+//! Programs arrive once per worker: a task names them by content
+//! digest, and the worker keeps every program it was sent inline.
 //!
 //! Custom kernels ([`flit_program::Kernel::Custom`] holds a trait
 //! object) travel by *name* on the wire, so before serving anything
@@ -66,5 +68,24 @@ mod tests {
         let value = app.program.to_value();
         let back = flit_program::SimProgram::from_value(&value).expect("round trip");
         assert_eq!(back.fingerprint(), app.program.fingerprint());
+    }
+
+    #[test]
+    fn every_bundled_program_keeps_its_content_digest_across_the_wire() {
+        // A worker interns an inline program under the digest it
+        // computes itself; a coordinator's reference only resolves if
+        // both sides agree.
+        register_bundled_kernels();
+        for name in app_names() {
+            let app = resolve_app(name).expect("listed apps resolve");
+            let json = serde_json::to_string(&app.program).expect("program serializes");
+            let back: flit_program::SimProgram =
+                serde_json::from_str(&json).expect("program parses");
+            assert_eq!(
+                back.content_digest(),
+                app.program.content_digest(),
+                "{name}"
+            );
+        }
     }
 }

@@ -15,7 +15,8 @@
 //!
 //! Dispatch is strictly request/response per worker, so a worker's
 //! in-flight set is at most one query. When a worker dies (EOF, broken
-//! pipe, or a corrupt frame), the coordinator retires it, respawns on
+//! pipe, a corrupt frame, or an answer line longer than
+//! [`MAX_ANSWER_LINE_BYTES`]), the coordinator retires it, respawns on
 //! demand, and retries the same query on a fresh worker — the requeue
 //! path. Exactly-once *accounting* is not this layer's job: the
 //! coordinator's single-flight query ledger admits one answer per
@@ -33,7 +34,7 @@
 //! workers are immortal, so recovery always terminates.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -50,6 +51,12 @@ use crate::executor::{ExecError, Executor};
 /// Environment variable holding a worker's scheduled exit point: the
 /// worker exits right before sending its `n`-th answer.
 pub const WORKER_EXIT_AFTER_ENV: &str = "FLIT_WORKER_EXIT_AFTER";
+
+/// Longest answer line the coordinator reads from a worker. A real
+/// answer (an output vector or a set of timing samples, about 21 bytes
+/// per float) is a few kilobytes; a longer line is a worker fault, and
+/// is treated like a corrupt frame instead of being buffered.
+pub const MAX_ANSWER_LINE_BYTES: usize = 16 << 20;
 
 /// Coordinator → worker messages.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -345,14 +352,21 @@ impl ProcessBackend {
             .flush()
             .map_err(|e| format!("worker pipe flush failed: {e}"))?;
 
-        let mut line = String::new();
-        let n = worker
-            .stdout
-            .read_line(&mut line)
+        let mut line = Vec::new();
+        let n = (&mut worker.stdout)
+            .take(MAX_ANSWER_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
             .map_err(|e| format!("reading answer to query {id} failed: {e}"))?;
         if n == 0 {
             return Err(format!("worker died with query {id} in flight"));
         }
+        if line.len() > MAX_ANSWER_LINE_BYTES {
+            return Err(format!(
+                "answer to query {id} exceeds {MAX_ANSWER_LINE_BYTES} bytes"
+            ));
+        }
+        let line = std::str::from_utf8(&line)
+            .map_err(|e| format!("answer to query {id} is not UTF-8: {e}"))?;
         let payload = unframe_record(line.trim_end_matches('\n'))
             .map_err(|e| format!("corrupt answer frame for query {id}: {e}"))?;
         let FromWorker::Answer { id: got, payload } = serde_json::from_str(payload)
@@ -648,6 +662,34 @@ mod tests {
         assert_ne!(again.child.id(), pid);
         backend.checkin(again);
         backend.drain();
+    }
+
+    #[test]
+    fn an_endless_answer_line_retires_the_worker_at_the_cap() {
+        // The worker never ends its line. The coordinator must stop
+        // reading at the cap, retire each worker, and give up with a
+        // structured error once the retry budget is spent.
+        let backend = ProcessBackend::new(
+            vec!["sh".into(), "-c".into(), "yes x | tr -d '\\n'".into()],
+            1,
+        );
+        let err = backend
+            .dispatch(&QueryEnvelope {
+                task_digest: "t".into(),
+                task: "{}".into(),
+                spec: "{}".into(),
+            })
+            .unwrap_err();
+        match err {
+            ExecError::Backend { message } => {
+                assert!(message.contains("giving up"), "{message}");
+                assert!(
+                    message.contains(&format!("exceeds {MAX_ANSWER_LINE_BYTES} bytes")),
+                    "{message}"
+                );
+            }
+            other => panic!("expected Backend, got {other:?}"),
+        }
     }
 
     #[test]

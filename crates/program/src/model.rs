@@ -1,6 +1,7 @@
 //! The program model: source files, functions, drivers.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use flit_toolchain::cache::RecipeHasher;
 use flit_toolchain::compilation::Compilation;
@@ -127,7 +128,9 @@ impl SourceFile {
 pub struct SimProgram {
     /// Program name.
     pub name: String,
-    /// The source files.
+    /// The source files. Edit bodies through
+    /// [`SimProgram::function_mut`], which keeps the content digest
+    /// honest.
     pub files: Vec<SourceFile>,
     index: HashMap<String, (usize, usize)>,
     /// Symbol id of each file's first function: function `gi` of file
@@ -141,6 +144,9 @@ pub struct SimProgram {
     /// into objects, so structurally identical programs (e.g. a clean
     /// and an injected copy) may share cached build artifacts.
     fingerprint: u64,
+    /// Content digest (see [`SimProgram::content_digest`]), computed on
+    /// first use.
+    content_digest: OnceLock<String>,
 }
 
 impl SimProgram {
@@ -176,6 +182,7 @@ impl SimProgram {
             index,
             first_id,
             fingerprint: h.finish(),
+            content_digest: OnceLock::new(),
         };
         // Validate the call graph.
         for (fi, file) in prog.files.iter().enumerate() {
@@ -203,6 +210,21 @@ impl SimProgram {
         self.fingerprint
     }
 
+    /// Content digest: the FNV-1a hex of the program's serialized JSON.
+    /// Unlike the fingerprint it covers function bodies, so an injected
+    /// copy digests differently from the clean program. It keys the
+    /// worker-side program table that programs travel to by reference.
+    /// Computed once per instance, on first use (serializing a large
+    /// program costs milliseconds).
+    pub fn content_digest(&self) -> &str {
+        self.content_digest.get_or_init(|| {
+            let json = serde_json::to_string(self).expect("program serializes");
+            let mut h = RecipeHasher::new();
+            h.write_str(&json);
+            format!("{:016x}", h.finish())
+        })
+    }
+
     /// Look up a symbol: `(file index, function index)`.
     pub fn lookup(&self, symbol: &str) -> Option<(usize, usize)> {
         self.index.get(symbol).copied()
@@ -221,8 +243,10 @@ impl SimProgram {
     }
 
     /// Mutable access to a function (used by the injection pass).
+    /// Invalidates the content digest.
     pub fn function_mut(&mut self, symbol: &str) -> Option<&mut Function> {
         let (fi, gi) = self.lookup(symbol)?;
+        self.content_digest.take();
         Some(&mut self.files[fi].functions[gi])
     }
 
@@ -323,8 +347,8 @@ impl SimProgram {
     }
 }
 
-// Manual impls: `index`, `first_id` and `fingerprint` are derived
-// state, so the wire carries `{name, files}` only and deserialization
+// Manual impls: `index`, `first_id`, `fingerprint` and the content
+// digest are derived state, so the wire carries `{name, files}` only and deserialization
 // rebuilds (and re-validates) through [`SimProgram::new`] — a
 // deserialized program is structurally identical to the original,
 // fingerprint and symbol ids included.
@@ -533,6 +557,28 @@ mod tests {
             ]
         );
         assert_eq!(p.symbol_id(1, 0), 2);
+    }
+
+    #[test]
+    fn content_digest_survives_a_json_round_trip() {
+        let spec = crate::generate::random_planted(7);
+        for p in [tiny_program(), crate::generate::plant(&spec).program] {
+            let back: SimProgram =
+                serde_json::from_str(&serde_json::to_string(&p).unwrap()).unwrap();
+            assert_eq!(back.content_digest(), p.content_digest(), "{}", p.name);
+            assert_eq!(back.fingerprint(), p.fingerprint());
+        }
+    }
+
+    #[test]
+    fn an_injected_copy_keeps_its_fingerprint_but_not_its_digest() {
+        let clean = tiny_program();
+        let mut injected = clean.clone();
+        // The clone carries the computed digest; editing a body drops it.
+        assert_eq!(injected.content_digest(), clean.content_digest());
+        injected.function_mut("beta").unwrap().kernel = Kernel::DivScan;
+        assert_eq!(injected.fingerprint(), clean.fingerprint());
+        assert_ne!(injected.content_digest(), clean.content_digest());
     }
 
     #[test]

@@ -65,6 +65,25 @@ if [[ "${1:-}" == "--quick" ]]; then
   ./target/debug/flit serve --shutdown --connect "$SERVE_ADDR" > /dev/null
   wait "$SERVE_PID"
   test -s target/serve-smoke/tenants/smoke/journal-*.jsonl
+  echo "== quick: process-backend daemon smoke (long-lived workers, two programs) =="
+  # The same two workers serve both submissions, so their program
+  # tables hold laghos and lulesh at once.
+  rm -rf target/serve-process-smoke
+  ./target/debug/flit serve --listen 127.0.0.1:0 --state-dir target/serve-process-smoke \
+      --backend process --workers 2 &
+  SERVE_PID=$!
+  for _ in $(seq 1 150); do
+    [[ -s target/serve-process-smoke/serve.addr ]] && break
+    sleep 0.1
+  done
+  SERVE_ADDR=$(cat target/serve-process-smoke/serve.addr)
+  for app in laghos lulesh; do
+    ./target/debug/flit submit "$app" --connect "$SERVE_ADDR" --tenant smoke \
+        --max-bisections 1 > /dev/null
+  done
+  ./target/debug/flit serve --status --connect "$SERVE_ADDR"
+  ./target/debug/flit serve --shutdown --connect "$SERVE_ADDR" > /dev/null
+  wait "$SERVE_PID"
   echo "verify --quick: OK"
   exit 0
 fi
